@@ -6,35 +6,28 @@ minimiser and the unique subtree maximiser."""
 import argparse
 import sys
 
-from ecctrees.enumeration import free_trees, verify_extremal
-from ecctrees.sequence import eccentric_sequence
+from ecctrees.enumeration import verify_all
 
 
 def main():
     ap = argparse.ArgumentParser(description=__doc__)
     ap.add_argument("--max-n", type=int, default=12)
-    ap.add_argument("--jobs", type=int, default=1)
     args = ap.parse_args()
 
     failures = 0
-    for n in range(3, args.max_n + 1):
-        groups = {}
-        for t in free_trees(n):
-            groups.setdefault(eccentric_sequence(t), []).append(t)
-        for s in sorted(groups, key=lambda s: s.raw):
-            r = verify_extremal(s, max_n=args.max_n, jobs=args.jobs)
-            ok = (
-                r.construction_is_min_w
-                and r.unique_min_w
-                and r.construction_is_max_n
-                and r.unique_max_n
-            )
-            status = "ok" if ok else "FAIL"
-            print(
-                f"{s.compact_str():28} trees={r.trees_examined:4} "
-                f"minW={r.min_wiener:6} maxN={r.max_subtrees:10} {status}"
-            )
-            failures += not ok
+    for r in verify_all(args.max_n):
+        ok = (
+            r.construction_is_min_w
+            and r.unique_min_w
+            and r.construction_is_max_n
+            and r.unique_max_n
+        )
+        status = "ok" if ok else "FAIL"
+        print(
+            f"{r.sequence.compact_str():28} trees={r.trees_examined:4} "
+            f"minW={r.min_wiener:6} maxN={r.max_subtrees:10} {status}"
+        )
+        failures += not ok
     print(f"\nfailures: {failures}")
     sys.exit(1 if failures else 0)
 

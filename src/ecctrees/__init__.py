@@ -65,6 +65,7 @@ from .enumeration import (
     free_trees,
     trees_with_sequence,
     valid_sequences,
+    verify_all,
     verify_extremal,
 )
 

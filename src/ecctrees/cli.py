@@ -18,7 +18,7 @@ from .enumeration import (
     verify_extremal,
 )
 from .extremal import extremal_tree, max_subtrees_value, min_wiener_derivation
-from .invariants import invariant_report, subtree_count, wiener_pairwise
+from .invariants import invariant_report, subtree_count, wiener
 from .sequence import SequenceError, parse_sequence, validate_tree_sequence
 from .tree import TreeError, parse_tree, tree_to_text
 
@@ -53,24 +53,26 @@ def _parse_lambdas(text: str) -> tuple[float, ...]:
 
 def build_parser() -> argparse.ArgumentParser:
     parser = _Parser(prog="ecctrees", description=__doc__)
-    common = argparse.ArgumentParser(add_help=False)
-    common.add_argument("--format", choices=("text", "json"), default="text")
-    common.add_argument("--max-n", type=int, default=12, metavar="K")
-    common.add_argument("--lambda", dest="lambdas", default="1", metavar="a,b,c")
-    common.add_argument("--jobs", type=int, default=1, metavar="J")
-    common.add_argument("--seed", type=int, default=0, metavar="N")
+    fmt = argparse.ArgumentParser(add_help=False)
+    fmt.add_argument("--format", choices=("text", "json"), default="text")
+    max_n = argparse.ArgumentParser(add_help=False)
+    max_n.add_argument("--max-n", type=int, default=12, metavar="K")
+    lam = argparse.ArgumentParser(add_help=False)
+    lam.add_argument("--lambda", dest="lambdas", default="1", metavar="a,b,c")
     sub = parser.add_subparsers(dest="command", required=True)
 
-    p = sub.add_parser("validate", parents=[common], help="validate an eccentric sequence")
+    p = sub.add_parser("validate", parents=[fmt], help="validate an eccentric sequence")
     p.add_argument("sequence")
-    p = sub.add_parser("extremal", parents=[common], help="build the extremal caterpillar")
+    p = sub.add_parser("extremal", parents=[fmt], help="build the extremal caterpillar")
     p.add_argument("sequence")
-    p = sub.add_parser("invariants", parents=[common], help="invariant report for a tree file")
+    p = sub.add_parser("invariants", parents=[fmt, lam], help="invariant report for a tree file")
     p.add_argument("treefile")
-    p = sub.add_parser("verify", parents=[common], help="exhaustively verify extremality")
+    p = sub.add_parser("verify", parents=[fmt, max_n], help="exhaustively verify extremality")
     p.add_argument("sequence")
-    sub.add_parser("audit", parents=[common], help="audit printed formulas vs oracles")
-    sub.add_parser("explore", parents=[common], help="explore the HW / lambda-Wiener conjecture")
+    sub.add_parser("audit", parents=[fmt, max_n], help="audit printed formulas vs oracles")
+    sub.add_parser(
+        "explore", parents=[fmt, max_n, lam], help="explore the HW / lambda-Wiener conjecture"
+    )
     return parser
 
 
@@ -100,7 +102,7 @@ def cmd_extremal(args) -> int:
     t = extremal_tree(s)
     w = min_wiener_derivation(s)
     nsub = max_subtrees_value(s)
-    if w != wiener_pairwise(t) or nsub != subtree_count(t):
+    if w != wiener(t) or nsub != subtree_count(t):
         print("internal error: closed form disagrees with oracle", file=sys.stderr)
         return EXIT_INTERNAL
     if args.format == "json":
@@ -138,7 +140,7 @@ def cmd_verify(args) -> int:
     s = parse_sequence(args.sequence)
     if not validate_tree_sequence(s):
         return cmd_validate(args)
-    report = verify_extremal(s, max_n=args.max_n, jobs=args.jobs)
+    report = verify_extremal(s, max_n=args.max_n)
     payload = report.to_dict()
     if args.format == "json":
         sys.stdout.write(_dump_json(payload))
@@ -156,35 +158,46 @@ def cmd_verify(args) -> int:
 
 def cmd_audit(args) -> int:
     report = audit_formulas(args.max_n)
-    payload = report.to_dict()
     if args.format == "json":
-        sys.stdout.write(_dump_json(payload))
+        sys.stdout.write(_dump_json(report.to_dict()))
     else:
         header = (
-            "sequence n oracle_W printed_W delta_W oracle_N printed_N delta_N"
+            f"{'sequence':24} {'W':>5} {'W_print':>7} {'dW':>4} "
+            f"{'N':>8} {'N_print':>10} {'dN':>8}"
         )
         print(header)
-        for row in payload["rows"]:
+        print("-" * len(header))
+        for r in report.rows:
             print(
-                f"{row['sequence']} {row['n']} {row['oracle_W']} "
-                f"{row['printed_W']} {row['delta_W']} {row['oracle_N']} "
-                f"{row['printed_N']} {row['delta_N']}"
+                f"{r.sequence.compact_str():24} {r.oracle_w:>5} {r.printed_w:>7} "
+                f"{r.delta_w:>4} {r.oracle_n:>8} {str(r.printed_n):>10} "
+                f"{str(r.delta_n):>8}"
             )
-        print(f"mismatching rows: {len(payload['mismatching_sequences'])}")
+        print(
+            f"\n{len(report.rows)} sequences, "
+            f"{len(report.mismatching_rows)} with printed-formula mismatches"
+        )
     return EXIT_OK
 
 
 def cmd_explore(args) -> int:
     lambdas = _parse_lambdas(args.lambdas)
     report = explore_conjecture(args.max_n, lambdas)
-    payload = report.to_dict()
     if args.format == "json":
-        sys.stdout.write(_dump_json(payload))
+        sys.stdout.write(_dump_json(report.to_dict()))
     else:
-        for row in payload["rows"]:
-            status = "min" if row["construction_is_min"] else "NOT-min"
-            unique = "unique" if row["unique_min"] else "tied"
-            print(f"{row['sequence']} {row['index']}: construction {status} ({unique})")
+        losses = ties = 0
+        for r in report.rows:
+            status = "min" if r.construction_is_min else "NOT-min"
+            unique = "unique" if r.unique_min else "tied"
+            print(f"{r.sequence.compact_str()} {r.index}: construction {status} ({unique})")
+            for tree_text in r.counterexamples:
+                sys.stdout.write(tree_text)
+            losses += not r.construction_is_min
+            ties += r.construction_is_min and not r.unique_min
+        print(
+            f"rows: {len(report.rows)}, construction not minimal: {losses}, ties: {ties}"
+        )
     return EXIT_OK
 
 
@@ -204,8 +217,6 @@ def main(argv: list[str] | None = None) -> int:
         args = parser.parse_args(argv)
         if getattr(args, "max_n", 3) < 3:
             raise UsageError("--max-n must be >= 3")
-        if getattr(args, "jobs", 1) < 1:
-            raise UsageError("--jobs must be >= 1")
         return _COMMANDS[args.command](args)
     except UsageError as exc:
         print(f"usage error: {exc}", file=sys.stderr)

@@ -19,7 +19,13 @@ from .extremal import (
     printed_wiener_delta,
     spec_decomposition,
 )
-from .invariants import hyper_wiener, subtree_count, wiener_lambda, wiener_pairwise
+from .invariants import (
+    hyper_wiener,
+    subtree_count,
+    wiener,
+    wiener_lambda,
+    wiener_pairwise,
+)
 from .sequence import (
     EccSequence,
     eccentric_sequence,
@@ -51,11 +57,22 @@ def free_trees(n: int) -> list[Tree]:
     return trees
 
 
+def _trees_by_sequence(n: int) -> dict[EccSequence, list[Tree]]:
+    """The free trees on n vertices grouped by eccentric sequence, with the
+    sequences in raw order.  Each group keeps the canonical-code order of
+    free_trees."""
+    groups: dict[EccSequence, list[Tree]] = {}
+    for t in free_trees(n):
+        groups.setdefault(eccentric_sequence(t), []).append(t)
+    return dict(sorted(groups.items(), key=lambda item: item[0].raw))
+
+
 def trees_with_sequence(s: EccSequence) -> list[Tree]:
-    """The free trees on sum(m) vertices whose eccentric sequence is s."""
+    """The free trees on sum(m) vertices whose eccentric sequence is s,
+    sorted by canonical code."""
     if not validate_tree_sequence(s):
         return []
-    return [t for t in free_trees(s.n) if eccentric_sequence(t) == s]
+    return _trees_by_sequence(s.n).get(s, [])
 
 
 def valid_sequences(max_n: int, min_n: int = 3) -> list[EccSequence]:
@@ -125,49 +142,24 @@ class ExtremalityReport:
         }
 
 
-def _scan_invariants(trees: list[Tree], jobs: int = 1) -> list[tuple[bytes, int, int]]:
-    """(canonical code, W, N) per tree, merged deterministically.
-
-    The tree list is split into per-worker slices by position; results are
-    re-sorted by canonical code, so the output is identical at any job count.
-    """
-    if jobs > 1 and len(trees) > 1:
-        from multiprocessing import Pool
-
-        chunks = [trees[k::jobs] for k in range(jobs)]
-        with Pool(jobs) as pool:
-            parts = pool.map(_scan_chunk, chunks)
-        rows = [row for part in parts for row in part]
-    else:
-        rows = _scan_chunk(trees)
-    rows.sort(key=lambda row: row[0])
-    return rows
-
-
-def _scan_chunk(trees: list[Tree]) -> list[tuple[bytes, int, int]]:
-    return [(canonical_code(t), wiener_pairwise(t), subtree_count(t)) for t in trees]
-
-
-def verify_extremal(
-    s: EccSequence, max_n: int = DEFAULT_BUDGET, jobs: int = 1
-) -> ExtremalityReport:
-    """Enumerate every tree with sequence s and check that the constructed
-    caterpillar is the unique Wiener minimiser and subtree maximiser."""
-    require_valid(s)
-    if s.n > max_n:
-        raise BudgetExceededError(
-            f"sequence order {s.n} exceeds enumeration budget {max_n}"
-        )
-    rows = _scan_invariants(trees_with_sequence(s), jobs=jobs)
+def _extremality_report(s: EccSequence, trees: list[Tree]) -> ExtremalityReport:
+    """Check the construction against trees, the realizers of s in
+    canonical-code order, so the achievers come out in that order too."""
+    ws = [wiener(t) for t in trees]
+    nsubs = [subtree_count(t) for t in trees]
+    min_w = min(ws)
+    max_nsub = max(nsubs)
+    min_achievers = tuple(
+        canonical_code(t) for t, w in zip(trees, ws) if w == min_w
+    )
+    max_achievers = tuple(
+        canonical_code(t) for t, nsub in zip(trees, nsubs) if nsub == max_nsub
+    )
     construction_code = canonical_code(extremal_tree(s))
-    min_w = min(w for _, w, _ in rows)
-    max_nsub = max(nsub for _, _, nsub in rows)
-    min_achievers = tuple(code for code, w, _ in rows if w == min_w)
-    max_achievers = tuple(code for code, _, nsub in rows if nsub == max_nsub)
     return ExtremalityReport(
         sequence=s,
         n=s.n,
-        trees_examined=len(rows),
+        trees_examined=len(trees),
         min_wiener=min_w,
         min_wiener_achievers=min_achievers,
         max_subtrees=max_nsub,
@@ -177,6 +169,27 @@ def verify_extremal(
         unique_min_w=len(min_achievers) == 1,
         unique_max_n=len(max_achievers) == 1,
     )
+
+
+def verify_extremal(s: EccSequence, max_n: int = DEFAULT_BUDGET) -> ExtremalityReport:
+    """Enumerate every tree with sequence s and check that the constructed
+    caterpillar is the unique Wiener minimiser and subtree maximiser."""
+    require_valid(s)
+    if s.n > max_n:
+        raise BudgetExceededError(
+            f"sequence order {s.n} exceeds enumeration budget {max_n}"
+        )
+    return _extremality_report(s, trees_with_sequence(s))
+
+
+def verify_all(max_n: int) -> list[ExtremalityReport]:
+    """verify_extremal for every sequence realized by a tree on 3..max_n
+    vertices, ordered by (n, raw), enumerating each order once."""
+    return [
+        _extremality_report(s, trees)
+        for n in range(3, max_n + 1)
+        for s, trees in _trees_by_sequence(n).items()
+    ]
 
 
 def caterpillars_with_sequence(s: EccSequence) -> list[Tree]:
@@ -365,38 +378,35 @@ def explore_conjecture(max_n: int, lambdas: tuple[float, ...]) -> ConjectureRepo
     is asserted about the open conjecture."""
     rows = []
     for n in range(3, max_n + 1):
-        groups: dict[EccSequence, list[Tree]] = {}
-        for t in free_trees(n):
-            groups.setdefault(eccentric_sequence(t), []).append(t)
-        for s in sorted(groups, key=lambda s: s.raw):
-            trees = groups[s]
+        for s, trees in _trees_by_sequence(n).items():
             construction_code = canonical_code(extremal_tree(s))
             # hyper-Wiener: exact integers, exact ties
-            hw = [(canonical_code(t), hyper_wiener(t), t) for t in trees]
-            rows.append(_conjecture_row(s, "HW", hw, construction_code, exact=True))
+            hw = [hyper_wiener(t) for t in trees]
+            rows.append(
+                _conjecture_row(s, "HW", trees, hw, construction_code, exact=True)
+            )
             for lam in lambdas:
-                wl = [(canonical_code(t), wiener_lambda(t, lam), t) for t in trees]
+                wl = [wiener_lambda(t, lam) for t in trees]
                 rows.append(
                     _conjecture_row(
-                        s, f"lambda={lam:g}", wl, construction_code, exact=False
+                        s, f"lambda={lam:g}", trees, wl, construction_code, exact=False
                     )
                 )
     return ConjectureReport(max_n=max_n, lambdas=tuple(lambdas), rows=tuple(rows))
 
 
-def _conjecture_row(s, index, scored, construction_code, exact):
-    scored = sorted(scored, key=lambda row: row[0])
-    best = min(value for _, value, _ in scored)
+def _conjecture_row(s, index, trees, values, construction_code, exact):
+    best = min(values)
     if exact:
-        winners = [(code, t) for code, value, t in scored if value == best]
+        winners = [t for t, value in zip(trees, values) if value == best]
     else:
         cutoff = best * (1 + LAMBDA_TOL) + LAMBDA_TOL
-        winners = [(code, t) for code, value, t in scored if value <= cutoff]
-    codes = tuple(code for code, _ in winners)
+        winners = [t for t, value in zip(trees, values) if value <= cutoff]
+    codes = tuple(canonical_code(t) for t in winners)
     is_min = construction_code in codes
     counterexamples = ()
     if not is_min:
-        counterexamples = tuple(tree_to_text(t) for _, t in winners)
+        counterexamples = tuple(tree_to_text(t) for t in winners)
     return ConjectureRow(
         sequence=s,
         index=index,

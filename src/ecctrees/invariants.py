@@ -15,8 +15,8 @@ from math import comb
 from .tree import Tree, distance_matrix, distances_from
 
 
-def _subtree_sizes(t: Tree, root: int = 0) -> list[int]:
-    """Size of the subtree below each vertex when t is rooted at root."""
+def _bfs_order(t: Tree, root: int) -> tuple[list[int], list[int]]:
+    """BFS order from root and each vertex's parent (the root is its own)."""
     order = []
     parent = [-1] * t.n
     parent[root] = root
@@ -28,11 +28,7 @@ def _subtree_sizes(t: Tree, root: int = 0) -> list[int]:
             if parent[w] < 0:
                 parent[w] = v
                 queue.append(w)
-    size = [1] * t.n
-    for v in reversed(order):
-        if v != root:
-            size[parent[v]] += size[v]
-    return size
+    return order, parent
 
 
 def wiener(t: Tree) -> int:
@@ -41,19 +37,11 @@ def wiener(t: Tree) -> int:
     Each edge separates the tree into parts of sizes s and n-s and lies on
     exactly s*(n-s) shortest paths.
     """
-    size = _subtree_sizes(t)
-    total = 0
-    parent = [-1] * t.n
-    parent[0] = 0
-    queue = deque([0])
-    while queue:
-        v = queue.popleft()
-        for w in t.adjacency[v]:
-            if parent[w] < 0:
-                parent[w] = v
-                total += size[w] * (t.n - size[w])
-                queue.append(w)
-    return total
+    order, parent = _bfs_order(t, 0)
+    size = [1] * t.n
+    for v in reversed(order[1:]):
+        size[parent[v]] += size[v]
+    return sum(size[v] * (t.n - size[v]) for v in order[1:])
 
 
 def wiener_pairwise(t: Tree) -> int:
@@ -71,22 +59,10 @@ def subtree_count(t: Tree) -> int:
     containing v inside v's rooted subtree; summing f over all vertices counts
     each subtree once, at its vertex closest to the root.
     """
-    root = 0
-    order = []
-    parent = [-1] * t.n
-    parent[root] = root
-    queue = deque([root])
-    while queue:
-        v = queue.popleft()
-        order.append(v)
-        for w in t.adjacency[v]:
-            if parent[w] < 0:
-                parent[w] = v
-                queue.append(w)
+    order, parent = _bfs_order(t, 0)
     f = [1] * t.n
-    for v in reversed(order):
-        if v != root:
-            f[parent[v]] *= 1 + f[v]
+    for v in reversed(order[1:]):
+        f[parent[v]] *= 1 + f[v]
     return sum(f)
 
 
@@ -181,7 +157,10 @@ class InvariantReport:
     relation_residuals: dict[str, int]
 
     def to_dict(self) -> dict:
-        assert self.vertex_edge_wiener.denominator == 1
+        if self.vertex_edge_wiener.denominator != 1:
+            raise AssertionError(
+                f"vertex-edge Wiener index {self.vertex_edge_wiener} is not an integer"
+            )
         return {
             "n": self.n,
             "wiener": self.wiener,

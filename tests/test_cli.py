@@ -1,10 +1,17 @@
 import json
+import os
+import subprocess
+import sys
 from importlib import resources
+from pathlib import Path
 
 import jsonschema
 import pytest
 
+import ecctrees
 from ecctrees.cli import main
+
+SRC = str(Path(ecctrees.__file__).parents[1])
 
 
 @pytest.fixture(scope="module")
@@ -109,21 +116,42 @@ class TestVerifyAuditExplore:
         assert code == 0
         assert all(r["construction_is_min"] for r in payload["rows"])
 
-    def test_byte_identical_across_jobs(self, capsys):
+    def test_byte_identical_runs(self, capsys):
         outputs = []
-        for jobs in ("1", "2", "3"):
+        for _ in range(2):
             code, out, _ = run(
-                capsys,
-                "verify",
-                "3,4,4,5,5,5,6,6,6,6",
-                "--jobs",
-                jobs,
-                "--format",
-                "json",
+                capsys, "verify", "3,4,4,5,5,5,6,6,6,6", "--format", "json"
             )
             assert code == 0
             outputs.append(out)
-        assert outputs[0] == outputs[1] == outputs[2]
+        assert outputs[0] == outputs[1]
+
+    def test_audit_text_summary(self, capsys):
+        code, out, _ = run(capsys, "audit", "--max-n", "7")
+        assert code == 0
+        assert out.splitlines()[-1].endswith("with printed-formula mismatches")
+
+    def test_explore_text_prints_counterexamples(self, capsys):
+        code, out, _ = run(capsys, "explore", "--max-n", "7", "--lambda", "-1")
+        assert code == 0
+        lines = out.splitlines()
+        losses = [i for i, line in enumerate(lines) if "NOT-min" in line]
+        assert losses
+        assert all(lines[i + 1].isdigit() for i in losses)  # a tree file follows
+        assert lines[-1] == f"rows: 38, construction not minimal: {len(losses)}, ties: 0"
+
+
+class TestScripts:
+    def test_verify_main_result(self):
+        script = Path(__file__).parents[1] / "scripts" / "verify_main_result.py"
+        proc = subprocess.run(
+            [sys.executable, str(script), "--max-n", "8"],
+            capture_output=True,
+            text=True,
+            env=dict(os.environ, PYTHONPATH=SRC),
+        )
+        assert proc.returncode == 0, proc.stderr
+        assert proc.stdout.endswith("failures: 0\n")
 
 
 class TestUsage:
@@ -135,3 +163,17 @@ class TestUsage:
 
     def test_bad_lambda(self, capsys):
         assert run(capsys, "explore", "--max-n", "5", "--lambda", "0")[0] == 1
+
+    @pytest.mark.parametrize(
+        "argv",
+        [
+            ["verify", "2,3,3,4,4", "--jobs", "2"],
+            ["audit", "--seed", "1"],
+            ["validate", "2,3,3,4,4", "--max-n", "5"],
+            ["extremal", "2,3,3,4,4", "--lambda", "2"],
+            ["verify", "2,3,3,4,4", "--lambda", "2"],
+            ["invariants", "p5.tree", "--max-n", "5"],
+        ],
+    )
+    def test_flags_a_command_does_not_read(self, capsys, argv):
+        assert run(capsys, *argv)[0] == 1

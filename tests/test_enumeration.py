@@ -9,11 +9,12 @@ from ecctrees.enumeration import (
     free_trees,
     trees_with_sequence,
     valid_sequences,
+    verify_all,
     verify_extremal,
 )
 from ecctrees.extremal import extremal_tree
 from ecctrees.invariants import subtree_count, wiener_pairwise
-from ecctrees.sequence import eccentric_sequence, parse_sequence
+from ecctrees.sequence import parse_sequence
 from ecctrees.tree import Tree, canonical_code, is_caterpillar
 
 from .oracles import free_tree_count_bruteforce
@@ -72,6 +73,11 @@ class TestTreesWithSequence:
         assert trees_with_sequence(seq("2,3,4,4")) == []
 
 
+@pytest.fixture(scope="module")
+def reports_up_to_12():
+    return verify_all(12)
+
+
 class TestVerifyExtremal:
     def test_example_seven_vertices(self):
         report = verify_extremal(seq("2,3,3,4,4,4,4"))
@@ -99,19 +105,19 @@ class TestVerifyExtremal:
         with pytest.raises(BudgetExceededError):
             verify_extremal(seq("1," + "2," * 12 + "2"), max_n=12)
 
-    def test_jobs_do_not_change_result(self):
-        s = seq("3,4,4,5,5,5,6,6,6,6")
-        assert verify_extremal(s, jobs=1) == verify_extremal(s, jobs=3)
+    def test_main_result_up_to_12(self, reports_up_to_12):
+        """The per-order sweep gives the per-sequence reports, in order."""
+        assert reports_up_to_12 == [verify_extremal(s) for s in valid_sequences(12)]
 
-    def test_main_result_up_to_12(self):
-        for n in range(3, 13):
-            groups = {}
-            for t in free_trees(n):
-                groups.setdefault(eccentric_sequence(t), []).append(t)
-            for s in groups:
-                report = verify_extremal(s)
-                assert report.construction_is_min_w and report.unique_min_w, s.raw
-                assert report.construction_is_max_n and report.unique_max_n, s.raw
+    def test_counts_per_order(self, reports_up_to_12):
+        """Per order, the classes partition the free trees (A000055) and
+        there are F(n-1) sequences."""
+        a000055 = [1, 2, 3, 6, 11, 23, 47, 106, 235, 551]
+        fib = [1, 1, 2, 3, 5, 8, 13, 21, 34, 55, 89]
+        for n, count in zip(range(3, 13), a000055):
+            order = [r for r in reports_up_to_12 if r.n == n]
+            assert sum(r.trees_examined for r in order) == count
+            assert len(order) == fib[n - 2]
 
 
 class TestCaterpillarCounting:
@@ -165,10 +171,11 @@ class TestAudit:
 class TestExplore:
     def test_lambda_one_matches_wiener_minimizers(self):
         report = explore_conjecture(8, (1.0,))
+        verified = {r.sequence: r for r in verify_all(8)}
         for row in report.rows:
             if not row.index.startswith("lambda"):
                 continue
-            ver = verify_extremal(row.sequence)
+            ver = verified[row.sequence]
             assert set(row.minimizers) == set(ver.min_wiener_achievers)
 
     def test_hw_rows_present(self):

@@ -1,9 +1,14 @@
+import os
+import subprocess
+import sys
 from fractions import Fraction
 from math import comb
+from pathlib import Path
 
 import pytest
 from hypothesis import given, settings
 
+import ecctrees
 from ecctrees.extremal import CaterpillarSpec, build_caterpillar
 from ecctrees.invariants import (
     edge_wiener,
@@ -175,3 +180,19 @@ class TestReport:
                 continue
             for t in trees:
                 assert vertex_edge_wiener(t).denominator == 1
+
+    def test_to_dict_rejects_half_integer_under_optimize(self):
+        """The integrality check survives python -O, which strips asserts."""
+        code = (
+            "from fractions import Fraction\n"
+            "from ecctrees.invariants import InvariantReport\n"
+            "InvariantReport(1, 0, 1, 0, 0, Fraction(1, 2), 0, 0, 0, {}, {}).to_dict()\n"
+        )
+        proc = subprocess.run(
+            [sys.executable, "-O", "-c", code],
+            capture_output=True,
+            text=True,
+            env=dict(os.environ, PYTHONPATH=str(Path(ecctrees.__file__).parents[1])),
+        )
+        assert proc.returncode == 1
+        assert "AssertionError" in proc.stderr
