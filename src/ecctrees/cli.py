@@ -8,6 +8,7 @@ from __future__ import annotations
 
 import argparse
 import json
+import math
 import sys
 from pathlib import Path
 
@@ -46,8 +47,8 @@ def _parse_lambdas(text: str) -> tuple[float, ...]:
         values = tuple(float(tok) for tok in text.split(",") if tok.strip())
     except ValueError:
         raise UsageError(f"bad --lambda list {text!r}")
-    if not values or any(v == 0 for v in values):
-        raise UsageError("--lambda needs a nonempty list of nonzero values")
+    if not values or any(v == 0 or not math.isfinite(v) for v in values):
+        raise UsageError("--lambda needs a nonempty list of finite nonzero values")
     return values
 
 
@@ -221,10 +222,10 @@ def main(argv: list[str] | None = None) -> int:
     except UsageError as exc:
         print(f"usage error: {exc}", file=sys.stderr)
         return EXIT_USAGE
-    except (SequenceError, TreeError, FileNotFoundError) as exc:
+    except (SequenceError, TreeError, OSError) as exc:
         print(f"usage error: {exc}", file=sys.stderr)
         return EXIT_USAGE
-    except BudgetExceededError as exc:
+    except (BudgetExceededError, OverflowError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return EXIT_USAGE
     except AssertionError as exc:

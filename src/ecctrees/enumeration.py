@@ -97,7 +97,7 @@ def _sequences_for(n: int, b1: int, m1: int, l: int) -> list[EccSequence]:
         return []
     result = []
     for combo in _compositions(rest, parts, minimum=2):
-        result.append(EccSequence.from_compact(b1, (m1,) + combo))
+        result.append(EccSequence(b1, (m1,) + combo))
     return result
 
 

@@ -1,5 +1,5 @@
-"""Eccentric sequences: parsing, the compact run-length view, and the
-Lesniak-style validity test for tree eccentric sequences."""
+"""Eccentric sequences in compact form: parsing, and the Lesniak-style
+validity test for tree eccentric sequences."""
 
 from __future__ import annotations
 
@@ -15,81 +15,67 @@ class SequenceError(ValueError):
 
 @dataclass(frozen=True)
 class EccSequence:
-    """Nondecreasing sequence of positive integers with a compact view.
-
-    The compact view (b1, multiplicities m_1..m_l) requires the distinct
-    values to be consecutive integers b1, b1+1, ..., b1+l-1, which holds for
-    the eccentricity multiset of any connected graph.
+    """Nondecreasing gap-free sequence of positive integers in compact form
+    EccSequence(b1, mult): m_1..m_l count the values b1, b1+1, ..., b1+l-1.
+    Gap-freeness holds for the eccentricities of any connected graph.
     """
 
-    raw: tuple[int, ...]
+    b1: int
+    _mult: tuple[int, ...]
 
     def __post_init__(self):
-        if not self.raw:
-            raise SequenceError("empty sequence")
-        if any(a < 1 for a in self.raw):
+        if self.b1 < 1:
             raise SequenceError("entries must be positive integers")
-        if any(a > b for a, b in zip(self.raw, self.raw[1:])):
-            raise SequenceError("sequence must be nondecreasing")
-        values = sorted(set(self.raw))
-        for a, b in zip(values, values[1:]):
-            if b != a + 1:
-                raise SequenceError(
-                    f"gap between eccentricities {a} and {b}: "
-                    "impossible for a connected graph"
-                )
-
-    @property
-    def n(self) -> int:
-        return len(self.raw)
-
-    @property
-    def b1(self) -> int:
-        """Smallest value (the radius, once validated)."""
-        return self.raw[0]
-
-    @property
-    def bl(self) -> int:
-        """Largest value (the diameter, once validated)."""
-        return self.raw[-1]
-
-    @property
-    def l(self) -> int:
-        """Number of distinct values."""
-        return self.bl - self.b1 + 1
+        if not self._mult:
+            raise SequenceError("empty sequence")
+        if any(m < 1 for m in self._mult):
+            raise SequenceError("multiplicities must be positive")
+        object.__setattr__(self, "_mult", tuple(self._mult))
 
     @property
     def mult(self) -> tuple[int, ...]:
         """Multiplicities m_1..m_l of the distinct values b1..bl."""
-        counts = [0] * self.l
-        for a in self.raw:
-            counts[a - self.b1] += 1
-        return tuple(counts)
+        return self._mult
 
-    @classmethod
-    def from_compact(cls, b1: int, mult: tuple[int, ...] | list[int]) -> "EccSequence":
-        if not mult or any(m < 1 for m in mult):
-            raise SequenceError("multiplicities must be positive")
-        raw = []
-        for offset, m in enumerate(mult):
-            raw.extend([b1 + offset] * m)
-        return cls(tuple(raw))
+    @property
+    def n(self) -> int:
+        return sum(self._mult)
+
+    @property
+    def bl(self) -> int:
+        """Largest value (the diameter, once validated)."""
+        return self.b1 + len(self._mult) - 1
+
+    @property
+    def l(self) -> int:
+        """Number of distinct values."""
+        return len(self._mult)
+
+    @property
+    def raw(self) -> tuple[int, ...]:
+        """The expanded sequence, O(n): each value repeated m times."""
+        return tuple(self.b1 + j for j, m in enumerate(self._mult) for _ in range(m))
 
     def compact_str(self) -> str:
-        return ",".join(
-            f"{self.b1 + j}^{m}" for j, m in enumerate(self.mult)
-        )
-
-    def raw_str(self) -> str:
-        return ",".join(str(a) for a in self.raw)
+        return ",".join(f"{self.b1 + j}^{m}" for j, m in enumerate(self._mult))
 
     def to_json(self) -> str:
-        return json.dumps({"b1": self.b1, "mult": list(self.mult)})
+        return json.dumps({"b1": self.b1, "mult": list(self._mult)})
 
     @classmethod
     def from_json(cls, text: str) -> "EccSequence":
         obj = json.loads(text)
-        return cls.from_compact(obj["b1"], tuple(obj["mult"]))
+        return cls(obj["b1"], obj["mult"])
+
+
+def _count_values(values) -> EccSequence:
+    """The sequence holding the values of a nonempty collection, in any
+    order; a missing value in between is an empty multiplicity."""
+    b1 = min(values)
+    mult = [0] * (max(values) - b1 + 1)
+    for a in values:
+        mult[a - b1] += 1
+    return EccSequence(b1, mult)
 
 
 def parse_sequence(text: str) -> EccSequence:
@@ -99,33 +85,42 @@ def parse_sequence(text: str) -> EccSequence:
         raise SequenceError("empty sequence")
     tokens = [tok.strip() for tok in text.split(",")]
     if any("^" in tok for tok in tokens):
-        raw: list[int] = []
-        prev_value: int | None = None
+        values, mult = [], []
         for tok in tokens:
             try:
                 value_s, mult_s = tok.split("^")
-                value, mult = int(value_s), int(mult_s)
+                value, m = int(value_s), int(mult_s)
             except ValueError:
                 raise SequenceError(f"bad compact token {tok!r}")
-            if mult < 1:
+            if m < 1:
                 raise SequenceError(f"zero or negative multiplicity in {tok!r}")
-            if prev_value is not None and value != prev_value + 1:
+            if values and value != values[-1] + 1:
                 raise SequenceError(
-                    f"compact values must be consecutive, got {prev_value} then {value}"
+                    f"compact values must be consecutive, got {values[-1]} then {value}"
                 )
-            prev_value = value
-            raw.extend([value] * mult)
-        return EccSequence(tuple(raw))
+            values.append(value)
+            mult.append(m)
+        return EccSequence(values[0], mult)
     try:
-        raw_ints = tuple(int(tok) for tok in tokens)
+        raw = [int(tok) for tok in tokens]
     except ValueError:
         raise SequenceError(f"non-integer token in {text!r}")
-    return EccSequence(raw_ints)
+    if any(a < 1 for a in raw):
+        raise SequenceError("entries must be positive integers")
+    if any(a > b for a, b in zip(raw, raw[1:])):
+        raise SequenceError("sequence must be nondecreasing")
+    for a, b in zip(raw, raw[1:]):
+        if b > a + 1:
+            raise SequenceError(
+                f"gap between eccentricities {a} and {b}: "
+                "impossible for a connected graph"
+            )
+    return _count_values(raw)
 
 
 def eccentric_sequence(t: Tree) -> EccSequence:
     """The nondecreasing sequence of all vertex eccentricities of t."""
-    return EccSequence(tuple(sorted(eccentricities(t))))
+    return _count_values(eccentricities(t))
 
 
 @dataclass(frozen=True)
@@ -182,7 +177,4 @@ def sequence_of_extremal_params(s: EccSequence) -> tuple[int, tuple[int, ...]]:
     multiplicity (minus 2) is attached closest to the path end.
     """
     require_valid(s)
-    mult = s.mult
-    q = s.bl - 1
-    t = tuple(mult[s.l - j] - 2 for j in range(1, s.l))
-    return q, t
+    return s.bl - 1, tuple(m - 2 for m in reversed(s.mult[1:]))

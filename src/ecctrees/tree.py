@@ -100,6 +100,7 @@ def parse_tree(text: str) -> Tree:
     """
     n: int | None = None
     edges: list[tuple[int, int]] = []
+    seen: set[tuple[int, int]] = set()
     for lineno, raw in enumerate(text.splitlines(), start=1):
         line = raw.split("#", 1)[0].strip()
         if not line:
@@ -125,8 +126,9 @@ def parse_tree(text: str) -> Tree:
             raise TreeParseError(f"vertex id out of range 0..{n - 1}", lineno)
         if u == v:
             raise TreeParseError(f"self-loop at vertex {u}", lineno)
-        if _normalize_edge(u, v) in {_normalize_edge(a, b) for a, b in edges}:
+        if _normalize_edge(u, v) in seen:
             raise TreeParseError(f"duplicate edge ({u}, {v})", lineno)
+        seen.add(_normalize_edge(u, v))
         edges.append((u, v))
     if n is None:
         raise TreeParseError("empty input: no vertex count found")

@@ -56,6 +56,11 @@ class TestValidate:
         assert payload["valid"] is True
         assert payload["mult"] == [1, 2, 2]
 
+    def test_huge_multiplicity(self, capsys, schemas):
+        code, payload = run_json(capsys, schemas, "validate", "1^1,2^1000000000")
+        assert code == 0
+        assert payload["mult"] == [1, 1000000000]
+
 
 class TestExtremal:
     def test_seven_vertex_example(self, capsys, schemas):
@@ -116,6 +121,11 @@ class TestVerifyAuditExplore:
         assert code == 0
         assert all(r["construction_is_min"] for r in payload["rows"])
 
+    def test_verify_budget_with_huge_multiplicity(self, capsys):
+        code, _, err = run(capsys, "verify", "1^1,2^1000000000", "--max-n", "12")
+        assert code == 1
+        assert "exceeds enumeration budget 12" in err
+
     def test_byte_identical_runs(self, capsys):
         outputs = []
         for _ in range(2):
@@ -163,6 +173,23 @@ class TestUsage:
 
     def test_bad_lambda(self, capsys):
         assert run(capsys, "explore", "--max-n", "5", "--lambda", "0")[0] == 1
+
+    @pytest.mark.parametrize("lam", ["nan", "inf", "-inf", "1,nan"])
+    def test_non_finite_lambda(self, capsys, tmp_path, lam):
+        f = tmp_path / "p5.tree"
+        f.write_text("5\n0 1\n1 2\n2 3\n3 4\n")
+        assert run(capsys, "invariants", str(f), f"--lambda={lam}")[0] == 1
+        assert run(capsys, "explore", "--max-n", "5", f"--lambda={lam}")[0] == 1
+
+    def test_lambda_overflow(self, capsys, tmp_path):
+        f = tmp_path / "p5.tree"
+        f.write_text("5\n0 1\n1 2\n2 3\n3 4\n")
+        code, _, err = run(capsys, "invariants", str(f), "--lambda", "1e308")
+        assert code == 1
+        assert err.startswith("error: ") and err.count("\n") == 1
+
+    def test_directory_as_tree_file(self, capsys, tmp_path):
+        assert run(capsys, "invariants", str(tmp_path))[0] == 1
 
     @pytest.mark.parametrize(
         "argv",

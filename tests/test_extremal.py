@@ -97,7 +97,7 @@ class TestExtremalTree:
                 b1 = len(mult) if m1 == 2 else len(mult) - 1
                 if b1 < 1 or (m1 == 2 and b1 < 2):
                     continue
-                s = EccSequence.from_compact(b1, tuple(mult))
+                s = EccSequence(b1, mult)
                 from ecctrees.sequence import validate_tree_sequence
 
                 assert validate_tree_sequence(s).valid

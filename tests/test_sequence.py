@@ -1,6 +1,8 @@
 import json
 
 import pytest
+from hypothesis import given
+from hypothesis import strategies as st
 
 from ecctrees.enumeration import free_trees, valid_sequences
 from ecctrees.sequence import (
@@ -49,6 +51,30 @@ class TestParse:
         assert json.loads(s.to_json()) == {"b1": 2, "mult": [1, 2, 2]}
         assert EccSequence.from_json(s.to_json()) == s
 
+    @given(st.text() | st.text(alphabet="0123456789^,- "))
+    def test_arbitrary_text(self, text):
+        try:
+            assert isinstance(parse_sequence(text), EccSequence)
+        except SequenceError:
+            pass
+
+    @given(
+        st.builds(
+            EccSequence,
+            st.integers(1, 30),
+            st.lists(st.integers(1, 5), min_size=1, max_size=8),
+        )
+    )
+    def test_compact_and_raw_round_trip(self, s):
+        assert s.n == len(s.raw)
+        assert parse_sequence(s.compact_str()) == s
+        assert parse_sequence(",".join(map(str, s.raw))) == s
+
+    @pytest.mark.parametrize("b1,mult", [(0, (1, 2)), (2, ()), (2, (1, 0, 2))])
+    def test_constructor_rejects(self, b1, mult):
+        with pytest.raises(SequenceError):
+            EccSequence(b1, mult)
+
 
 class TestValidate:
     @pytest.mark.parametrize("text", ["2,3,3,4,4", "2,2,3,3", "1,2,2,2"])
@@ -83,9 +109,8 @@ class TestValidate:
             for t in free_trees(n):
                 realized.add(eccentric_sequence(t).raw)
         for n in range(3, 11):
-            for raw in _all_candidate_sequences(n, max_value=9):
-                s = EccSequence(raw)
-                assert validate_tree_sequence(s).valid == (raw in realized), raw
+            for s in _all_candidate_sequences(n, max_value=9):
+                assert validate_tree_sequence(s).valid == (s.raw in realized), s.raw
 
 
 def _all_candidate_sequences(n, max_value):
@@ -96,10 +121,7 @@ def _all_candidate_sequences(n, max_value):
             if span > n:
                 continue
             for mult in _compositions(n, span):
-                raw = []
-                for off, m in enumerate(mult):
-                    raw.extend([lo + off] * m)
-                yield tuple(raw)
+                yield EccSequence(lo, mult)
 
 
 def _compositions(total, parts):

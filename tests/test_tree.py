@@ -62,6 +62,13 @@ class TestParse:
         t = build_caterpillar(CaterpillarSpec(3, (2, 0)))
         assert parse_tree(tree_to_text(t)) == t
 
+    @given(st.text() | st.text(alphabet="0123456789 \n#-"))
+    def test_arbitrary_text(self, text):
+        try:
+            assert isinstance(parse_tree(text), Tree)
+        except TreeError:
+            pass
+
     def test_disconnected(self):
         with pytest.raises(TreeError):
             Tree(4, ((0, 1), (2, 3), (0, 1)))
