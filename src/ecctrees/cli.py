@@ -1,7 +1,8 @@
 """Command-line front end.
 
 Exit codes: 0 success, 1 usage error, 2 domain-negative result (invalid
-sequence, failed verification), 3 internal assertion failure.
+sequence, failed verification), 3 internal assertion failure or any other
+unexpected error.
 """
 
 from __future__ import annotations
@@ -50,6 +51,30 @@ def _parse_lambdas(text: str) -> tuple[float, ...]:
     if not values or any(v == 0 or not math.isfinite(v) for v in values):
         raise UsageError("--lambda needs a nonempty list of finite nonzero values")
     return values
+
+
+def _attach_lambda_values(argv: list[str]) -> list[str]:
+    """Spell "--lambda VALUE" as "--lambda=VALUE" when VALUE starts with a
+    single "-", so that argparse reads a negative list such as -1,2 or -inf
+    as the value and not as an unknown option.  Abbreviations of --lambda,
+    which argparse accepts, are treated alike."""
+    out: list[str] = []
+    for arg in argv:
+        flag = out[-1] if out else ""
+        if (
+            len(flag) > 2
+            and "--lambda".startswith(flag)
+            and arg[:1] == "-"
+            and arg[:2] != "--"
+        ):
+            out[-1] = f"{flag}={arg}"
+        else:
+            out.append(arg)
+    return out
+
+
+def _lambda_overflow(text: str) -> OverflowError:
+    return OverflowError(f"--lambda {text}: a distance power overflows a float")
 
 
 def build_parser() -> argparse.ArgumentParser:
@@ -125,7 +150,10 @@ def cmd_invariants(args) -> int:
     text = Path(args.treefile).read_text()
     t = parse_tree(text)
     lambdas = _parse_lambdas(args.lambdas)
-    report = invariant_report(t, lambdas)
+    try:
+        report = invariant_report(t, lambdas)
+    except OverflowError:
+        raise _lambda_overflow(args.lambdas) from None
     payload = report.to_dict()
     if args.format == "json":
         sys.stdout.write(_dump_json(payload))
@@ -183,7 +211,10 @@ def cmd_audit(args) -> int:
 
 def cmd_explore(args) -> int:
     lambdas = _parse_lambdas(args.lambdas)
-    report = explore_conjecture(args.max_n, lambdas)
+    try:
+        report = explore_conjecture(args.max_n, lambdas)
+    except OverflowError:
+        raise _lambda_overflow(args.lambdas) from None
     if args.format == "json":
         sys.stdout.write(_dump_json(report.to_dict()))
     else:
@@ -215,7 +246,9 @@ _COMMANDS = {
 def main(argv: list[str] | None = None) -> int:
     parser = build_parser()
     try:
-        args = parser.parse_args(argv)
+        args = parser.parse_args(
+            _attach_lambda_values(sys.argv[1:] if argv is None else argv)
+        )
         if getattr(args, "max_n", 3) < 3:
             raise UsageError("--max-n must be >= 3")
         return _COMMANDS[args.command](args)
@@ -230,6 +263,9 @@ def main(argv: list[str] | None = None) -> int:
         return EXIT_USAGE
     except AssertionError as exc:
         print(f"internal assertion failed: {exc}", file=sys.stderr)
+        return EXIT_INTERNAL
+    except Exception as exc:
+        print(f"internal error: {type(exc).__name__}: {exc}", file=sys.stderr)
         return EXIT_INTERNAL
 
 

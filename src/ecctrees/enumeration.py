@@ -7,8 +7,6 @@ from __future__ import annotations
 from dataclasses import dataclass
 from fractions import Fraction
 
-import networkx as nx
-
 from .extremal import (
     caterpillar_subtree_closed_form,
     extremal_spec,
@@ -42,17 +40,83 @@ class BudgetExceededError(ValueError):
     """Requested enumeration exceeds the configured order budget."""
 
 
+def _next_rooted(level: list[int], p: int) -> list[int] | None:
+    """Beyer-Hedetniemi successor of a rooted level sequence: from entry p
+    on, repeat the segment that starts at p's parent q, so entry p moves one
+    level up.  None when p is the root."""
+    if p == 0:
+        return None
+    q = p - 1
+    while level[q] != level[p] - 1:
+        q -= 1
+    out = level[:p]
+    for i in range(p, len(level)):
+        out.append(out[i - p + q])
+    return out
+
+
+def _second_subtree(level: list[int]) -> int:
+    """Index where the root's second subtree starts (len(level) if none)."""
+    try:
+        return level.index(1, 2)
+    except ValueError:
+        return len(level)
+
+
+def _next_free(level: list[int]) -> list[int]:
+    """The first sequence from level on, in the rooted successor order,
+    that is the canonical (centred) level sequence of a free tree.
+
+    With the root's first subtree L (shifted up one level) and the rest R,
+    level is canonical iff (height, size, sequence) of L is at most that of
+    R, compared in that order.  Otherwise the successor skips to the next
+    candidate, resetting the tail to a path when the first subtree was deep.
+    """
+    m = _second_subtree(level)
+    left = [x - 1 for x in level[1:m]]
+    rest = [0] + level[m:]
+    if (max(left), len(left), left) <= (max(rest), len(rest), rest):
+        return level
+    out = _next_rooted(level, m - 1)
+    if level[m - 1] > 2:
+        height = max(out[1 : _second_subtree(out)])
+        out[len(out) - height :] = range(1, height + 1)
+    return out
+
+
+def _free_tree_edges(n: int):
+    """Edge tuples of the nonisomorphic trees on n vertices (Wright,
+    Richmond, Odlyzko & McKay 1986, over the Beyer-Hedetniemi rooted
+    successor).  Vertex i is entry i of the tree's level sequence and is
+    joined to its parent, the last earlier vertex one level up."""
+    if n == 1:
+        yield ()
+        return
+    # the path rooted at its center comes first
+    level: list[int] | None = list(range(n // 2 + 1)) + list(range(1, (n + 1) // 2))
+    while level is not None:
+        level = _next_free(level)
+        last = [0] * n
+        edges = []
+        for i in range(1, n):
+            d = level[i]
+            edges.append((i, last[d - 1]))
+            last[d] = i
+        yield tuple(edges)
+        p = n - 1
+        while level[p] == 1:
+            p -= 1
+        level = _next_rooted(level, p)
+
+
 def free_trees(n: int) -> list[Tree]:
     """All pairwise nonisomorphic trees on n vertices, sorted by canonical
-    code.  Generation is delegated to networkx's free-tree generator; tests
-    cross-check the counts against labelled enumeration plus dedup."""
+    code, from the in-house level-sequence generator.  The tests cross-check
+    it against labelled enumeration plus dedup and, tree by tree, against a
+    reference implementation of the same algorithm."""
     if n < 1:
         raise ValueError("n must be >= 1")
-    if n == 1:
-        return [Tree(1, ())]
-    trees = [
-        Tree(n, tuple(g.edges())) for g in nx.nonisomorphic_trees(n)
-    ]
+    trees = [Tree(n, edges) for edges in _free_tree_edges(n)]
     trees.sort(key=canonical_code)
     return trees
 

@@ -7,28 +7,11 @@ lambda-Wiener family is the only floating-point quantity.
 
 from __future__ import annotations
 
-from collections import deque
 from dataclasses import dataclass
 from fractions import Fraction
 from math import comb
 
-from .tree import Tree, distance_matrix, distances_from
-
-
-def _bfs_order(t: Tree, root: int) -> tuple[list[int], list[int]]:
-    """BFS order from root and each vertex's parent (the root is its own)."""
-    order = []
-    parent = [-1] * t.n
-    parent[root] = root
-    queue = deque([root])
-    while queue:
-        v = queue.popleft()
-        order.append(v)
-        for w in t.adjacency[v]:
-            if parent[w] < 0:
-                parent[w] = v
-                queue.append(w)
-    return order, parent
+from .tree import Tree, _bfs_order, distance_matrix, distances_from
 
 
 def wiener(t: Tree) -> int:

@@ -17,14 +17,15 @@ class SequenceError(ValueError):
 class EccSequence:
     """Nondecreasing gap-free sequence of positive integers in compact form
     EccSequence(b1, mult): m_1..m_l count the values b1, b1+1, ..., b1+l-1.
-    Gap-freeness holds for the eccentricities of any connected graph.
+    Gap-freeness holds for the eccentricities of any connected graph.  The
+    single vertex's EccSequence(0, (1,)) is the one sequence holding a 0.
     """
 
     b1: int
     _mult: tuple[int, ...]
 
     def __post_init__(self):
-        if self.b1 < 1:
+        if self.b1 < 1 and (self.b1, tuple(self._mult)) != (0, (1,)):
             raise SequenceError("entries must be positive integers")
         if not self._mult:
             raise SequenceError("empty sequence")
@@ -100,6 +101,8 @@ def parse_sequence(text: str) -> EccSequence:
                 )
             values.append(value)
             mult.append(m)
+        if values[0] < 1:
+            raise SequenceError("entries must be positive integers")
         return EccSequence(values[0], mult)
     try:
         raw = [int(tok) for tok in tokens]

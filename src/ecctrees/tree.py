@@ -6,7 +6,6 @@ changes after construction, so everything is safe to share across threads.
 
 from __future__ import annotations
 
-from collections import deque
 from dataclasses import dataclass, field
 
 
@@ -44,39 +43,25 @@ class Tree:
         edges = tuple(sorted(_normalize_edge(u, v) for u, v in self.edges))
         if len(edges) != self.n - 1:
             raise TreeError(f"expected {self.n - 1} edges, got {len(edges)}")
-        seen = set()
         adj: list[list[int]] = [[] for _ in range(self.n)]
-        for u, v in edges:
+        previous = None
+        for edge in edges:
+            u, v = edge
             if not (0 <= u < self.n and 0 <= v < self.n):
                 raise TreeError(f"vertex id out of range in edge ({u}, {v})")
             if u == v:
                 raise TreeError(f"self-loop at vertex {u}")
-            if (u, v) in seen:
+            if edge == previous:  # sorted, so copies are adjacent
                 raise TreeError(f"duplicate edge ({u}, {v})")
-            seen.add((u, v))
+            previous = edge
             adj[u].append(v)
             adj[v].append(u)
         object.__setattr__(self, "edges", edges)
-        object.__setattr__(
-            self, "adjacency", tuple(tuple(sorted(nbrs)) for nbrs in adj)
-        )
+        # with the edges sorted, every neighbour list is built ascending
+        object.__setattr__(self, "adjacency", tuple(map(tuple, adj)))
         # n-1 edges + connected <=> tree
-        if self._bfs_reach_count(0) != self.n:
+        if len(_bfs_order(self, 0)[0]) != self.n:
             raise TreeError("graph is disconnected (hence cyclic)")
-
-    def _bfs_reach_count(self, start: int) -> int:
-        seen = [False] * self.n
-        seen[start] = True
-        queue = deque([start])
-        count = 1
-        while queue:
-            v = queue.popleft()
-            for w in self.adjacency[v]:
-                if not seen[w]:
-                    seen[w] = True
-                    count += 1
-                    queue.append(w)
-        return count
 
     def degree(self, v: int) -> int:
         return len(self.adjacency[v])
@@ -149,18 +134,31 @@ def tree_to_text(t: Tree) -> str:
     return "\n".join(lines) + "\n"
 
 
+def _bfs_order(t: Tree, root: int) -> tuple[list[int], list[int]]:
+    """BFS order from root and each vertex's parent (the root is its own)."""
+    order = [root]
+    parent = [-1] * t.n
+    parent[root] = root
+    for v in order:
+        for w in t.adjacency[v]:
+            if parent[w] < 0:
+                parent[w] = v
+                order.append(w)
+    return order, parent
+
+
 def distances_from(t: Tree, v: int) -> list[int]:
     """Hop distances from v to every vertex, by BFS."""
     if not 0 <= v < t.n:
         raise TreeError(f"vertex id {v} out of range 0..{t.n - 1}")
     dist = [-1] * t.n
     dist[v] = 0
-    queue = deque([v])
-    while queue:
-        x = queue.popleft()
+    queue = [v]
+    for x in queue:
+        dx = dist[x] + 1
         for y in t.adjacency[x]:
             if dist[y] < 0:
-                dist[y] = dist[x] + 1
+                dist[y] = dx
                 queue.append(y)
     return dist
 
@@ -198,17 +196,7 @@ def diametral_endpoints(t: Tree) -> tuple[int, int]:
 
 def path_between(t: Tree, u: int, v: int) -> tuple[int, ...]:
     """The unique u-v path as a vertex tuple."""
-    parent = [-1] * t.n
-    parent[u] = u
-    queue = deque([u])
-    while queue:
-        x = queue.popleft()
-        if x == v:
-            break
-        for y in t.adjacency[x]:
-            if parent[y] < 0:
-                parent[y] = x
-                queue.append(y)
+    parent = _bfs_order(t, u)[1]
     path = [v]
     while path[-1] != u:
         path.append(parent[path[-1]])
@@ -256,23 +244,44 @@ def is_caterpillar(t: Tree) -> bool:
     return backbone(t).is_caterpillar
 
 
-def _rooted_code(t: Tree, root: int) -> bytes:
-    def code(v: int, parent: int) -> bytes:
-        children = sorted(code(w, v) for w in t.adjacency[v] if w != parent)
-        return b"(" + b"".join(children) + b")"
+def _centers(t: Tree) -> list[int]:
+    """The one or two middle vertices of a diametral path, in path order.
 
-    return code(root, -1)
+    The last vertex of a BFS order is farthest from the root, so a BFS from
+    0 finds one end u of a diametral path and a BFS from u finds the other.
+    """
+    u = _bfs_order(t, 0)[0][-1]
+    order, parent = _bfs_order(t, u)
+    path = [order[-1]]
+    while path[-1] != u:
+        path.append(parent[path[-1]])
+    mid = len(path) // 2
+    return path[mid - 1 : mid + 1] if len(path) % 2 == 0 else [path[mid]]
 
 
 def canonical_code(t: Tree) -> bytes:
     """AHU-style canonical form rooted at the tree center.
 
-    Equal codes exactly for isomorphic trees; deterministic.
+    A vertex's code is b"(" + its children's codes in sorted order + b")".
+    For two centers the smaller of the two rooted codes is taken.  Equal
+    codes exactly for isomorphic trees; deterministic; no recursion.
     """
-    ecc = eccentricities(t)
-    radius = min(ecc)
-    centers = [v for v in range(t.n) if ecc[v] == radius]
-    return min(_rooted_code(t, c) for c in centers)
+    centers = _centers(t)
+    root = centers[0]
+    order, parent = _bfs_order(t, root)
+    kids: list[list[bytes]] = [[] for _ in range(t.n)]
+    code: list[bytes] = [b""] * t.n
+    for v in reversed(order[1:]):
+        code[v] = b"(" + b"".join(sorted(kids[v])) + b")"
+        kids[parent[v]].append(code[v])
+    best = b"(" + b"".join(sorted(kids[root])) + b")"
+    if len(centers) == 2:
+        # re-root at the other center: the root becomes its extra child
+        other = centers[1]
+        kids[root].remove(code[other])
+        kids[other].append(b"(" + b"".join(sorted(kids[root])) + b")")
+        best = min(best, b"(" + b"".join(sorted(kids[other])) + b")")
+    return best
 
 
 def relabel(t: Tree, perm: list[int] | tuple[int, ...]) -> Tree:

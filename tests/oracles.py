@@ -3,7 +3,8 @@
 These deliberately avoid the production code paths they are checking:
 eccentricities by n separate BFS runs, Wiener by summing an explicit distance
 matrix, subtree counts by subset connectivity, free-tree counts by labelled
-(Pruefer) enumeration plus canonical dedup.
+(Pruefer) enumeration plus canonical dedup, canonical codes by recursive AHU
+at the centers found from the brute-force eccentricities.
 """
 
 from __future__ import annotations
@@ -50,6 +51,19 @@ def _is_connected(t: Tree, subset: set[int]) -> bool:
                 seen.add(w)
                 queue.append(w)
     return seen == subset
+
+
+def canonical_code_recursive(t: Tree) -> bytes:
+    """AHU code rooted at each center, the smaller one; recursive, so only
+    for small trees."""
+
+    def code(v: int, parent: int) -> bytes:
+        children = sorted(code(w, v) for w in t.adjacency[v] if w != parent)
+        return b"(" + b"".join(children) + b")"
+
+    ecc = ecc_bruteforce(t)
+    radius = min(ecc)
+    return min(code(c, -1) for c in range(t.n) if ecc[c] == radius)
 
 
 def labeled_trees(n: int):

@@ -180,6 +180,19 @@ class TestUsage:
         f.write_text("5\n0 1\n1 2\n2 3\n3 4\n")
         assert run(capsys, "invariants", str(f), f"--lambda={lam}")[0] == 1
         assert run(capsys, "explore", "--max-n", "5", f"--lambda={lam}")[0] == 1
+        assert run(capsys, "invariants", str(f), "--lambda", lam)[0] == 1
+        assert run(capsys, "explore", "--max-n", "5", "--lambda", lam)[0] == 1
+
+    @pytest.mark.parametrize("command", ["invariants", "explore"])
+    def test_negative_lambda_list_either_spelling(self, capsys, tmp_path, command):
+        f = tmp_path / "p5.tree"
+        f.write_text("5\n0 1\n1 2\n2 3\n3 4\n")
+        target = [str(f)] if command == "invariants" else ["--max-n", "6"]
+        apart = run(capsys, command, *target, "--lambda", "-1,2", "--format", "json")
+        joined = run(capsys, command, *target, "--lambda=-1,2", "--format", "json")
+        short = run(capsys, command, *target, "--lam", "-1,2", "--format", "json")
+        assert apart == joined == short
+        assert apart[0] == 0 and "-1.0" in apart[1]
 
     def test_lambda_overflow(self, capsys, tmp_path):
         f = tmp_path / "p5.tree"
@@ -187,6 +200,18 @@ class TestUsage:
         code, _, err = run(capsys, "invariants", str(f), "--lambda", "1e308")
         assert code == 1
         assert err.startswith("error: ") and err.count("\n") == 1
+        assert "--lambda 1e308" in err
+
+    def test_unexpected_error_exits_3(self, capsys, monkeypatch):
+        from ecctrees import cli
+
+        def boom(args):
+            raise RuntimeError("boom")
+
+        monkeypatch.setitem(cli._COMMANDS, "validate", boom)
+        code, out, err = run(capsys, "validate", "2,3,3,4,4")
+        assert code == 3
+        assert err == "internal error: RuntimeError: boom\n"
 
     def test_directory_as_tree_file(self, capsys, tmp_path):
         assert run(capsys, "invariants", str(tmp_path))[0] == 1

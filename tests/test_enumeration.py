@@ -1,7 +1,14 @@
+import os
+import subprocess
+import sys
+from pathlib import Path
+
 import pytest
 
+import ecctrees
 from ecctrees.enumeration import (
     BudgetExceededError,
+    _free_tree_edges,
     audit_formulas,
     caterpillars_with_sequence,
     count_caterpillars,
@@ -55,6 +62,27 @@ class TestFreeTrees:
     def test_bad_n(self):
         with pytest.raises(ValueError):
             free_trees(0)
+
+    def test_generator_matches_networkx(self):
+        """Same labelled trees in the same order as networkx's generator,
+        which implements the same algorithm (test-only oracle)."""
+        import networkx as nx
+
+        def edge_set(edges):
+            return sorted((min(u, v), max(u, v)) for u, v in edges)
+
+        for n in range(1, 14):
+            ours = [edge_set(edges) for edges in _free_tree_edges(n)]
+            theirs = [edge_set(g.edges()) for g in nx.nonisomorphic_trees(n)]
+            assert ours == theirs, n
+
+    def test_import_does_not_load_networkx(self):
+        env = dict(os.environ, PYTHONPATH=str(Path(ecctrees.__file__).parents[1]))
+        code = (
+            "import sys, ecctrees, ecctrees.cli; "
+            "sys.exit('networkx' in sys.modules)"
+        )
+        assert subprocess.run([sys.executable, "-c", code], env=env).returncode == 0
 
 
 class TestTreesWithSequence:

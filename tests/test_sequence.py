@@ -95,6 +95,20 @@ class TestValidate:
         result = validate_tree_sequence(parse_sequence("1,1"))
         assert result.reason == "TooShort"
 
+    def test_single_vertex(self):
+        """The lone vertex has eccentricity 0: its sequence exists but is
+        TooShort, and 0 stays unparseable as text."""
+        from ecctrees.enumeration import _trees_by_sequence
+        from ecctrees.tree import Tree
+
+        s = eccentric_sequence(Tree(1, ()))
+        assert s == EccSequence(0, (1,))
+        assert validate_tree_sequence(s).reason == "TooShort"
+        assert _trees_by_sequence(1) == {s: [Tree(1, ())]}
+        for text in ("0", "0^1"):
+            with pytest.raises(SequenceError, match="positive integers"):
+                parse_sequence(text)
+
     def test_round_trip_all_trees(self, small_free_trees):
         for n, trees in small_free_trees.items():
             if n <= 2:

@@ -1,4 +1,6 @@
 import itertools
+import random
+import sys
 
 import pytest
 from hypothesis import given, settings
@@ -20,7 +22,12 @@ from ecctrees.tree import (
 from ecctrees.extremal import CaterpillarSpec, build_caterpillar
 
 from .conftest import random_trees
-from .oracles import ecc_bruteforce, free_tree_count_bruteforce, labeled_trees
+from .oracles import (
+    canonical_code_recursive,
+    ecc_bruteforce,
+    free_tree_count_bruteforce,
+    labeled_trees,
+)
 
 
 def path(n):
@@ -182,3 +189,32 @@ class TestCanonicalCode:
     def test_six_vertices_six_codes(self):
         codes = {canonical_code(t) for t in labeled_trees(6)}
         assert len(codes) == 6
+
+    def test_matches_recursive_oracle(self):
+        from ecctrees.enumeration import free_trees
+
+        for n in range(1, 13):
+            for t in free_trees(n):
+                assert canonical_code(t) == canonical_code_recursive(t)
+
+    @pytest.mark.parametrize(
+        "t",
+        [
+            path(5000),
+            # broom: a 1500-vertex handle ending in 1500 bristles
+            Tree(3000, tuple((i, i + 1) for i in range(1499))
+                 + tuple((1499, i) for i in range(1500, 3000))),
+        ],
+        ids=["path5000", "broom3000"],
+    )
+    def test_deep_trees_need_no_recursion(self, t):
+        perm = list(range(t.n))
+        random.Random(t.n).shuffle(perm)
+        limit = sys.getrecursionlimit()
+        sys.setrecursionlimit(1000)  # the interpreter default
+        try:
+            code = canonical_code(t)
+            assert canonical_code(relabel(t, perm)) == code
+        finally:
+            sys.setrecursionlimit(limit)
+        assert len(code) == 2 * t.n
