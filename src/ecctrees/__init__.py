@@ -8,7 +8,6 @@ from .tree import (
     TreeParseError,
     backbone,
     canonical_code,
-    distance_matrix,
     distances_from,
     eccentricities,
     is_caterpillar,

@@ -74,7 +74,7 @@ def _attach_lambda_values(argv: list[str]) -> list[str]:
 
 
 def _lambda_overflow(text: str) -> OverflowError:
-    return OverflowError(f"--lambda {text}: a distance power overflows a float")
+    return OverflowError(f"--lambda {text}: a lambda-Wiener index overflows a float")
 
 
 def build_parser() -> argparse.ArgumentParser:

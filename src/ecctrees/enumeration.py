@@ -18,10 +18,11 @@ from .extremal import (
     spec_decomposition,
 )
 from .invariants import (
-    hyper_wiener,
+    _hyper_wiener,
+    _vertex_pass,
+    _wiener_lambda,
     subtree_count,
     wiener,
-    wiener_lambda,
     wiener_pairwise,
 )
 from .sequence import (
@@ -444,17 +445,15 @@ def explore_conjecture(max_n: int, lambdas: tuple[float, ...]) -> ConjectureRepo
     for n in range(3, max_n + 1):
         for s, trees in _trees_by_sequence(n).items():
             construction_code = canonical_code(extremal_tree(s))
+            counts = [_vertex_pass(t, sums=False)[0] for t in trees]
             # hyper-Wiener: exact integers, exact ties
-            hw = [hyper_wiener(t) for t in trees]
-            rows.append(
-                _conjecture_row(s, "HW", trees, hw, construction_code, exact=True)
-            )
+            indices = [("HW", [_hyper_wiener(c) for c in counts], True)]
             for lam in lambdas:
-                wl = [wiener_lambda(t, lam) for t in trees]
+                wl = [_wiener_lambda(c, lam) for c in counts]
+                indices.append((f"lambda={lam:g}", wl, False))
+            for index, values, exact in indices:
                 rows.append(
-                    _conjecture_row(
-                        s, f"lambda={lam:g}", trees, wl, construction_code, exact=False
-                    )
+                    _conjecture_row(s, index, trees, values, construction_code, exact)
                 )
     return ConjectureReport(max_n=max_n, lambdas=tuple(lambdas), rows=tuple(rows))
 

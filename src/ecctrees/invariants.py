@@ -3,15 +3,19 @@
 Every integer-valued index is computed exactly; the vertex-edge Wiener index is
 kept as an exact Fraction internally (it carries a 1/2 factor) and the
 lambda-Wiener family is the only floating-point quantity.
+
+The other distance indices take a BFS row per vertex or per edge, in O(n)
+memory, and are summed from their definitions, never through the tree
+identities, so the residuals of invariant_report stay checks.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
 from fractions import Fraction
-from math import comb
+from math import comb, isfinite
 
-from .tree import Tree, _bfs_order, distance_matrix, distances_from
+from .tree import Tree, _bfs_order, distances_from
 
 
 def wiener(t: Tree) -> int:
@@ -49,80 +53,82 @@ def subtree_count(t: Tree) -> int:
     return sum(f)
 
 
-def _edge_distances(t: Tree) -> tuple[list[tuple[int, int]], list[list[int]]]:
-    dm = distance_matrix(t)
-    edges = list(t.edges)
-    m = len(edges)
-    ed = [[0] * m for _ in range(m)]
-    for i in range(m):
-        u1, v1 = edges[i]
-        for j in range(i + 1, m):
-            u2, v2 = edges[j]
-            d = min(dm[u1][u2], dm[u1][v2], dm[v1][u2], dm[v1][v2])
-            ed[i][j] = ed[j][i] = d
-    return edges, ed
+def _nearest_end_sum(row: list[int], edges) -> int:
+    """Sum over the edges (a, b) of min(row[a], row[b])."""
+    return sum([row[a] if row[a] < row[b] else row[b] for a, b in edges])
+
+
+def _vertex_pass(t: Tree, sums: bool = True) -> tuple[list[int], int, int, int]:
+    """One BFS row per vertex: the number of unordered pairs at each distance
+    d (0 at d = 0) and, if sums, the Schultz and Gutman indices and the sum
+    of all vertex-to-edge distances.  Every pair is met from both ends."""
+    deg = t.degrees()
+    counts = [0] * t.n
+    schultz = gutman = vertex_edge = 0
+    for v in range(t.n):
+        row = distances_from(t, v)
+        for d in row:
+            counts[d] += 1
+        if sums:
+            schultz += deg[v] * sum(row)
+            gutman += deg[v] * sum([du * d for du, d in zip(deg, row)])
+            vertex_edge += _nearest_end_sum(row, t.edges)
+    return [0] + [c // 2 for c in counts[1:]], schultz, gutman // 2, vertex_edge
+
+
+def _hyper_wiener(pair_counts: list[int]) -> int:
+    return sum(c * comb(1 + d, 2) for d, c in enumerate(pair_counts))
+
+
+def _wiener_lambda(pair_counts: list[int], lam: float) -> float:
+    if lam == 0 or not isfinite(lam):
+        raise ValueError("lambda must be finite and nonzero")
+    # only the distances that occur, so d = 0 and unused lengths are skipped
+    total = float(sum(c * d ** lam for d, c in enumerate(pair_counts) if c))
+    if not isfinite(total):
+        raise OverflowError(f"the lambda={lam:g} Wiener sum overflows a float")
+    return total
 
 
 def edge_wiener(t: Tree) -> int:
-    """Sum over unordered edge pairs of the nearest-endpoint distance."""
-    _, ed = _edge_distances(t)
-    m = len(ed)
-    return sum(ed[i][j] for i in range(m) for j in range(i + 1, m))
+    """Sum over unordered edge pairs of the nearest-endpoint distance, from
+    one row per edge (a, b), min(d(a, x), d(b, x)), in O(n) memory."""
+    total = 0
+    for a, b in t.edges:
+        row = list(map(min, distances_from(t, a), distances_from(t, b)))
+        total += _nearest_end_sum(row, t.edges)
+    return total // 2
 
 
 def edge_wiener_line(t: Tree) -> int:
     """Edge Wiener under the line-graph distance d'(e,f) = d(e,f) + 1."""
-    _, ed = _edge_distances(t)
-    m = len(ed)
-    return sum(ed[i][j] + 1 for i in range(m) for j in range(i + 1, m))
+    return edge_wiener(t) + comb(len(t.edges), 2)
 
 
 def vertex_edge_wiener(t: Tree) -> Fraction:
     """Half the sum of all vertex-to-edge distances, exact."""
-    dm = distance_matrix(t)
-    total = 0
-    for v in range(t.n):
-        for u, w in t.edges:
-            total += min(dm[v][u], dm[v][w])
-    return Fraction(total, 2)
+    return Fraction(_vertex_pass(t)[3], 2)
 
 
 def schultz(t: Tree) -> int:
     """Degree distance: sum of d(u,v) * (deg(u) + deg(v)) over pairs."""
-    dm = distance_matrix(t)
-    deg = t.degrees()
-    return sum(
-        dm[u][v] * (deg[u] + deg[v])
-        for u in range(t.n)
-        for v in range(u + 1, t.n)
-    )
+    return _vertex_pass(t)[1]
 
 
 def gutman(t: Tree) -> int:
     """Sum of d(u,v) * deg(u) * deg(v) over unordered pairs."""
-    dm = distance_matrix(t)
-    deg = t.degrees()
-    return sum(
-        dm[u][v] * deg[u] * deg[v] for u in range(t.n) for v in range(u + 1, t.n)
-    )
+    return _vertex_pass(t)[2]
 
 
 def hyper_wiener(t: Tree) -> int:
     """Sum of binom(1 + d(u,v), 2) over unordered pairs."""
-    dm = distance_matrix(t)
-    return sum(
-        comb(1 + dm[u][v], 2) for u in range(t.n) for v in range(u + 1, t.n)
-    )
+    return _hyper_wiener(_vertex_pass(t, sums=False)[0])
 
 
 def wiener_lambda(t: Tree, lam: float) -> float:
-    """Sum of d(u,v)**lambda over unordered pairs; lambda must be nonzero."""
-    if lam == 0:
-        raise ValueError("lambda must be nonzero")
-    dm = distance_matrix(t)
-    return float(
-        sum(dm[u][v] ** lam for u in range(t.n) for v in range(u + 1, t.n))
-    )
+    """Sum of d(u,v)**lambda over unordered pairs; lambda must be finite and
+    nonzero.  OverflowError when a power or the sum is not a finite float."""
+    return _wiener_lambda(_vertex_pass(t, sums=False)[0], lam)
 
 
 @dataclass(frozen=True)
@@ -167,11 +173,10 @@ def invariant_report(t: Tree, lambdas: tuple[float, ...] = ()) -> InvariantRepor
     """
     n = t.n
     w = wiener(t)
+    counts, wp, wm, vertex_edge = _vertex_pass(t)
+    wve = Fraction(vertex_edge, 2)
     we = edge_wiener(t)
-    wel = edge_wiener_line(t)
-    wve = vertex_edge_wiener(t)
-    wp = schultz(t)
-    wm = gutman(t)
+    wel = we + comb(len(t.edges), 2)
     residuals = {
         "edge_wiener": we - (w - (n - 1) ** 2),
         "edge_wiener_line": wel - we - comb(n - 1, 2),
@@ -188,7 +193,7 @@ def invariant_report(t: Tree, lambdas: tuple[float, ...] = ()) -> InvariantRepor
         vertex_edge_wiener=wve,
         schultz=wp,
         gutman=wm,
-        hyper_wiener=hyper_wiener(t),
-        wiener_lambda={lam: wiener_lambda(t, lam) for lam in lambdas},
+        hyper_wiener=_hyper_wiener(counts),
+        wiener_lambda={lam: _wiener_lambda(counts, lam) for lam in lambdas},
         relation_residuals=residuals,
     )

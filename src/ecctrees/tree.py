@@ -163,10 +163,6 @@ def distances_from(t: Tree, v: int) -> list[int]:
     return dist
 
 
-def distance_matrix(t: Tree) -> list[list[int]]:
-    return [distances_from(t, v) for v in range(t.n)]
-
-
 def _farthest(dist: list[int]) -> int:
     # lowest id among vertices at maximum distance, for reproducibility
     best = max(dist)

@@ -2,15 +2,18 @@
 
 These deliberately avoid the production code paths they are checking:
 eccentricities by n separate BFS runs, Wiener by summing an explicit distance
-matrix, subtree counts by subset connectivity, free-tree counts by labelled
-(Pruefer) enumeration plus canonical dedup, canonical codes by recursive AHU
-at the centers found from the brute-force eccentricities.
+matrix, the other distance indices by all-pairs sums over explicit n x n and
+m x m distance matrices, subtree counts by subset connectivity, free-tree
+counts by labelled (Pruefer) enumeration plus canonical dedup, canonical codes
+by recursive AHU at the centers found from the brute-force eccentricities.
 """
 
 from __future__ import annotations
 
 import itertools
 from collections import deque
+from fractions import Fraction
+from math import comb
 
 from ecctrees.tree import Tree, canonical_code, distances_from, tree_from_pruefer
 
@@ -25,6 +28,60 @@ def wiener_bruteforce(t: Tree) -> int:
         dist = distances_from(t, v)
         total += sum(dist[u] for u in range(v + 1, t.n))
     return total
+
+
+def distance_matrix(t: Tree) -> list[list[int]]:
+    return [distances_from(t, v) for v in range(t.n)]
+
+
+def edge_distance_matrix(t: Tree) -> list[list[int]]:
+    """[i][j]: the least distance between an end of edge i and an end of
+    edge j, with the edges in t.edges order."""
+    dm = distance_matrix(t)
+    return [
+        [min(dm[a][c], dm[a][d], dm[b][c], dm[b][d]) for c, d in t.edges]
+        for a, b in t.edges
+    ]
+
+
+def _vertex_pairs(t: Tree):
+    return itertools.combinations(range(t.n), 2)
+
+
+def edge_wiener_bruteforce(t: Tree) -> int:
+    ed = edge_distance_matrix(t)
+    return sum(ed[i][j] for i, j in itertools.combinations(range(len(ed)), 2))
+
+
+def edge_wiener_line_bruteforce(t: Tree) -> int:
+    ed = edge_distance_matrix(t)
+    return sum(ed[i][j] + 1 for i, j in itertools.combinations(range(len(ed)), 2))
+
+
+def vertex_edge_wiener_bruteforce(t: Tree) -> Fraction:
+    dm = distance_matrix(t)
+    total = sum(min(dm[v][a], dm[v][b]) for v in range(t.n) for a, b in t.edges)
+    return Fraction(total, 2)
+
+
+def schultz_bruteforce(t: Tree) -> int:
+    dm = distance_matrix(t)
+    return sum(dm[u][v] * (t.degree(u) + t.degree(v)) for u, v in _vertex_pairs(t))
+
+
+def gutman_bruteforce(t: Tree) -> int:
+    dm = distance_matrix(t)
+    return sum(dm[u][v] * t.degree(u) * t.degree(v) for u, v in _vertex_pairs(t))
+
+
+def hyper_wiener_bruteforce(t: Tree) -> int:
+    dm = distance_matrix(t)
+    return sum(comb(1 + dm[u][v], 2) for u, v in _vertex_pairs(t))
+
+
+def wiener_lambda_bruteforce(t: Tree, lam: float) -> float:
+    dm = distance_matrix(t)
+    return float(sum(dm[u][v] ** lam for u, v in _vertex_pairs(t)))
 
 
 def subtree_count_bruteforce(t: Tree) -> int:

@@ -28,9 +28,15 @@ def run(capsys, *argv):
     return code, out.out, out.err
 
 
+def _reject_constant(name):
+    raise ValueError(f"non-standard JSON constant {name}")
+
+
 def run_json(capsys, schemas, command, *argv):
+    """Run a command with --format json; its output must be standard JSON
+    (no NaN or Infinity) that matches the command's schema."""
     code, out, _ = run(capsys, command, *argv, "--format", "json")
-    payload = json.loads(out)
+    payload = json.loads(out, parse_constant=_reject_constant)
     jsonschema.validate(payload, schemas[command])
     return code, payload
 
@@ -201,6 +207,19 @@ class TestUsage:
         assert code == 1
         assert err.startswith("error: ") and err.count("\n") == 1
         assert "--lambda 1e308" in err
+
+    def test_lambda_sum_overflow(self, capsys, tmp_path):
+        # each 2**1023 of the 4-star is finite, but their sum is not
+        f = tmp_path / "s4.tree"
+        f.write_text("4\n0 1\n0 2\n0 3\n")
+        code, out, err = run(
+            capsys, "invariants", str(f), "--lambda", "1023", "--format", "json"
+        )
+        assert code == 1 and out == ""
+        assert err.startswith("error: --lambda 1023: ") and err.count("\n") == 1
+        code, out, err = run(capsys, "explore", "--max-n", "4", "--lambda", "1023")
+        assert code == 1 and out == ""
+        assert err.startswith("error: --lambda 1023: ") and err.count("\n") == 1
 
     def test_unexpected_error_exits_3(self, capsys, monkeypatch):
         from ecctrees import cli

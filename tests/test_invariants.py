@@ -1,6 +1,8 @@
+import math
 import os
 import subprocess
 import sys
+import tracemalloc
 from fractions import Fraction
 from math import comb
 from pathlib import Path
@@ -26,7 +28,17 @@ from ecctrees.invariants import (
 from ecctrees.tree import Tree
 
 from .conftest import random_trees, seeded_random_trees
-from .oracles import subtree_count_bruteforce, wiener_bruteforce
+from .oracles import (
+    edge_wiener_bruteforce,
+    edge_wiener_line_bruteforce,
+    gutman_bruteforce,
+    hyper_wiener_bruteforce,
+    schultz_bruteforce,
+    subtree_count_bruteforce,
+    vertex_edge_wiener_bruteforce,
+    wiener_bruteforce,
+    wiener_lambda_bruteforce,
+)
 
 
 def path(n):
@@ -131,6 +143,19 @@ class TestWienerLambda:
         with pytest.raises(ValueError):
             wiener_lambda(path(3), 0)
 
+    @pytest.mark.parametrize("lam", [math.nan, math.inf, -math.inf])
+    def test_non_finite_rejected(self, lam):
+        with pytest.raises(ValueError):
+            wiener_lambda(path(3), lam)
+
+    def test_overflow_raises(self):
+        # 4**1e308 overflows as one power; each 2**1023 of the 4-star is a
+        # finite float, but the three of them add up past the largest float
+        with pytest.raises(OverflowError):
+            wiener_lambda(path(5), 1e308)
+        with pytest.raises(OverflowError):
+            wiener_lambda(star(4), 1023.0)
+
     def test_hyper_wiener_cross_check(self, small_free_trees):
         # HW = (W + sum of squared distances) / 2
         for trees in small_free_trees.values():
@@ -164,6 +189,34 @@ class TestTreeRelations:
             assert_tree_relations(t)
 
 
+KERNEL_ORACLES = [
+    ("edge_wiener", edge_wiener, edge_wiener_bruteforce),
+    ("edge_wiener_line", edge_wiener_line, edge_wiener_line_bruteforce),
+    ("vertex_edge_wiener", vertex_edge_wiener, vertex_edge_wiener_bruteforce),
+    ("schultz", schultz, schultz_bruteforce),
+    ("gutman", gutman, gutman_bruteforce),
+    ("hyper_wiener", hyper_wiener, hyper_wiener_bruteforce),
+]
+ORACLE_LAMBDAS = (-1.0, 0.5, 1.5, 2.0, 3.0)
+
+
+class TestDistanceKernel:
+    def test_matches_all_pairs_oracles(self, small_free_trees):
+        trees = [t for ts in small_free_trees.values() for t in ts]
+        trees += seeded_random_trees(40, max_n=120)
+        assert {1, 2} <= {t.n for t in trees}
+        for t in trees:
+            report = invariant_report(t, ORACLE_LAMBDAS)
+            for name, index, oracle in KERNEL_ORACLES:
+                expected = oracle(t)
+                assert index(t) == expected, (name, t)
+                assert getattr(report, name) == expected, (name, t)
+            for lam in ORACLE_LAMBDAS:
+                expected = wiener_lambda_bruteforce(t, lam)
+                assert math.isclose(wiener_lambda(t, lam), expected, rel_tol=1e-12)
+                assert math.isclose(report.wiener_lambda[lam], expected, rel_tol=1e-12)
+
+
 class TestReport:
     def test_residuals_zero_and_serializable(self):
         t = build_caterpillar(CaterpillarSpec(3, (2, 0)))
@@ -173,6 +226,18 @@ class TestReport:
         assert d["subtrees"] == "41"
         assert all(v == 0 for v in d["relation_residuals"].values())
         assert d["wiener_lambda"]["1.0"] == pytest.approx(46)
+
+    def test_flat_memory(self):
+        """The kernel holds O(n) memory: an n x n distance matrix of the
+        400-path alone would take megabytes."""
+        t = path(400)
+        tracemalloc.start()
+        try:
+            invariant_report(t, (1.0, 2.0))
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak < 500_000
 
     def test_vertex_edge_integral_for_trees(self, small_free_trees):
         for n, trees in small_free_trees.items():
