@@ -20,7 +20,7 @@ from .enumeration import (
     verify_extremal,
 )
 from .extremal import extremal_tree, max_subtrees_value, min_wiener_derivation
-from .invariants import invariant_report, subtree_count, wiener
+from .invariants import count_text, invariant_report, subtree_count, wiener
 from .sequence import SequenceError, parse_sequence, validate_tree_sequence
 from .tree import TreeError, parse_tree, tree_to_text
 
@@ -136,13 +136,13 @@ def cmd_extremal(args) -> int:
             "sequence": s.compact_str(),
             "tree": tree_to_text(t),
             "wiener": w,
-            "subtrees": str(nsub),
+            "subtrees": count_text(nsub),
         }
         sys.stdout.write(_dump_json(payload))
     else:
         sys.stdout.write(tree_to_text(t))
         print(f"W={w}")
-        print(f"N={nsub}")
+        print(f"N={count_text(nsub)}")
     return EXIT_OK
 
 
@@ -199,7 +199,7 @@ def cmd_audit(args) -> int:
         for r in report.rows:
             print(
                 f"{r.sequence.compact_str():24} {r.oracle_w:>5} {r.printed_w:>7} "
-                f"{r.delta_w:>4} {r.oracle_n:>8} {str(r.printed_n):>10} "
+                f"{r.delta_w:>4} {count_text(r.oracle_n):>8} {str(r.printed_n):>10} "
                 f"{str(r.delta_n):>8}"
             )
         print(

@@ -21,6 +21,7 @@ from .invariants import (
     _hyper_wiener,
     _vertex_pass,
     _wiener_lambda,
+    count_text,
     subtree_count,
     wiener,
     wiener_pairwise,
@@ -198,7 +199,7 @@ class ExtremalityReport:
             "trees_examined": self.trees_examined,
             "min_wiener": self.min_wiener,
             "min_wiener_achievers": [c.decode() for c in self.min_wiener_achievers],
-            "max_subtrees": str(self.max_subtrees),
+            "max_subtrees": count_text(self.max_subtrees),
             "max_subtrees_achievers": [c.decode() for c in self.max_subtrees_achievers],
             "construction_is_min_w": self.construction_is_min_w,
             "construction_is_max_n": self.construction_is_max_n,
@@ -326,8 +327,8 @@ class AuditRow:
             "printed_W": self.printed_w,
             "delta_W": self.delta_w,
             "delta_W_identity_ok": self.delta_w_identity_ok,
-            "oracle_N": str(self.oracle_n),
-            "decomposition_N": str(self.decomposition_n),
+            "oracle_N": count_text(self.oracle_n),
+            "decomposition_N": count_text(self.decomposition_n),
             "printed_N": str(self.printed_n),
             "delta_N": str(self.delta_n),
             "printed_N_truncated": self.printed_n_truncated,

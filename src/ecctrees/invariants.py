@@ -12,6 +12,7 @@ identities, so the residuals of invariant_report stay checks.
 from __future__ import annotations
 
 from dataclasses import dataclass
+from decimal import Decimal
 from fractions import Fraction
 from math import comb, isfinite
 
@@ -37,6 +38,15 @@ def wiener_pairwise(t: Tree) -> int:
     for v in range(t.n):
         total += sum(distances_from(t, v))
     return total // 2
+
+
+def count_text(count: int) -> str:
+    """Decimal text of an exact count, however many digits it has.
+
+    str(int) refuses more than 4 300 digits (sys.set_int_max_str_digits);
+    Decimal converts without that limit, which stays on for parsing.
+    """
+    return str(Decimal(count))
 
 
 def subtree_count(t: Tree) -> int:
@@ -153,7 +163,7 @@ class InvariantReport:
         return {
             "n": self.n,
             "wiener": self.wiener,
-            "subtrees": str(self.subtrees),
+            "subtrees": count_text(self.subtrees),
             "edge_wiener": self.edge_wiener,
             "edge_wiener_line": self.edge_wiener_line,
             "vertex_edge_wiener": int(self.vertex_edge_wiener),

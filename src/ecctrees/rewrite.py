@@ -9,10 +9,9 @@ same eccentric sequence.
 
 from __future__ import annotations
 
-from collections import deque
 from dataclasses import dataclass
 
-from .tree import Tree, diametral_endpoints, is_caterpillar, path_between
+from .tree import Tree, _bfs_order, _diametral_path
 
 
 @dataclass(frozen=True)
@@ -23,7 +22,7 @@ class RewriteMove:
     moved: tuple[int, ...]  # neighbours of u other than v_j
     target: int  # v_{j+1}
     detached: frozenset[int]  # U: vertices strictly below u
-    right: frozenset[int]  # R: v_{j+1} side of edge v_j v_{j+1}, minus U
+    right: frozenset[int]  # R: v_{j+1} side of edge v_j v_{j+1}
 
     def wiener_delta(self) -> int:
         """Exact change W(T') - W(T) = |U| * (2 - 2|R|)."""
@@ -34,19 +33,6 @@ class StaleMoveError(ValueError):
     """Move does not match the tree it is applied to."""
 
 
-def _component(t: Tree, start: int, blocked: set[int]) -> set[int]:
-    """Vertices reachable from start without entering blocked."""
-    seen = {start}
-    queue = deque([start])
-    while queue:
-        v = queue.popleft()
-        for w in t.adjacency[v]:
-            if w not in blocked and w not in seen:
-                seen.add(w)
-                queue.append(w)
-    return seen
-
-
 def find_move(t: Tree) -> RewriteMove | None:
     """The deterministic rewrite move for t, or None iff t is a caterpillar.
 
@@ -54,8 +40,7 @@ def find_move(t: Tree) -> RewriteMove | None:
     lexicographically smallest is taken; when its pivot sits on the near half
     (j < d/2) the path numbering is reversed so that j >= d/2.
     """
-    a, b = diametral_endpoints(t)
-    path = path_between(t, a, b)
+    path = _diametral_path(t)
     d = len(path) - 1
     on_path = set(path)
     candidate = None
@@ -74,10 +59,10 @@ def find_move(t: Tree) -> RewriteMove | None:
         j = d - j
     vj = path[j]
     moved = tuple(sorted(w for w in t.adjacency[u] if w != vj))
-    detached = frozenset(_component(t, u, {vj}) - {u})
+    # a BFS that never enters v_j covers one side of an edge at v_j
+    detached = frozenset(_bfs_order(t, u, vj)[0][1:])
     target = path[j + 1]
-    right_side = _component(t, target, {vj})
-    right = frozenset(right_side - detached)
+    right = frozenset(_bfs_order(t, target, vj)[0])
     return RewriteMove(
         path=path,
         j=j,

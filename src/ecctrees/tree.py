@@ -134,10 +134,16 @@ def tree_to_text(t: Tree) -> str:
     return "\n".join(lines) + "\n"
 
 
-def _bfs_order(t: Tree, root: int) -> tuple[list[int], list[int]]:
-    """BFS order from root and each vertex's parent (the root is its own)."""
+def _bfs_order(t: Tree, root: int, skip: int = -1) -> tuple[list[int], list[int]]:
+    """BFS order from root and each vertex's parent (the root is its own).
+
+    The vertex skip (if any) is never entered, so with skip a neighbour of
+    root the order covers root's side of the edge between them.
+    """
     order = [root]
     parent = [-1] * t.n
+    if skip >= 0:
+        parent[skip] = skip
     parent[root] = root
     for v in order:
         for w in t.adjacency[v]:
@@ -163,96 +169,67 @@ def distances_from(t: Tree, v: int) -> list[int]:
     return dist
 
 
-def _farthest(dist: list[int]) -> int:
-    # lowest id among vertices at maximum distance, for reproducibility
-    best = max(dist)
-    return dist.index(best)
+def _longest_path(t: Tree) -> tuple[list[int], int]:
+    """d(u, .) and v for the tree's canonical longest path u..v.
+
+    u is the lowest-id vertex farthest from 0 and v the lowest-id vertex
+    farthest from u (lowest ids for reproducibility); in a tree, u and v
+    are then at maximum distance.
+    """
+    d0 = distances_from(t, 0)
+    du = distances_from(t, d0.index(max(d0)))
+    return du, du.index(max(du))
+
+
+def _diametral_path(t: Tree) -> tuple[int, ...]:
+    """The canonical longest path u..v, walked back from v along d(u, .)."""
+    du, v = _longest_path(t)
+    path = [v]
+    while du[path[-1]]:
+        x = path[-1]
+        # in a tree exactly one neighbour of x is closer to u
+        path.append(next(w for w in t.adjacency[x] if du[w] < du[x]))
+    path.reverse()
+    return tuple(path)
 
 
 def eccentricities(t: Tree) -> list[int]:
-    """Per-vertex eccentricity via two BFS runs.
+    """Per-vertex eccentricity from the ends u, v of the canonical longest path.
 
-    With u, v a pair of vertices at maximum distance, every eccentricity is
-    max(d(u,w), d(w,v)); u is found by BFS from vertex 0, v by BFS from u.
+    Every eccentricity is max(d(u,w), d(w,v)), so besides the BFS from 0
+    that finds u, one BFS from each end suffices.
     """
-    du0 = distances_from(t, 0)
-    u = _farthest(du0)
-    du = distances_from(t, u)
-    v = _farthest(du)
+    du, v = _longest_path(t)
     dv = distances_from(t, v)
     return [max(a, b) for a, b in zip(du, dv)]
-
-
-def diametral_endpoints(t: Tree) -> tuple[int, int]:
-    """A deterministic pair of vertices at maximum distance."""
-    u = _farthest(distances_from(t, 0))
-    v = _farthest(distances_from(t, u))
-    return u, v
-
-
-def path_between(t: Tree, u: int, v: int) -> tuple[int, ...]:
-    """The unique u-v path as a vertex tuple."""
-    parent = _bfs_order(t, u)[1]
-    path = [v]
-    while path[-1] != u:
-        path.append(parent[path[-1]])
-    path.reverse()
-    return tuple(path)
 
 
 def backbone(t: Tree) -> Backbone:
     """Remove all pendant vertices; report whether what remains is a path.
 
     For a star the backbone is the single center vertex, for a single edge it
-    is empty; both count as caterpillars.
+    is empty; both count as caterpillars.  A tree is a caterpillar iff every
+    vertex off its canonical longest path is a leaf, and then that path's
+    inner vertices are the whole backbone, read from its smaller end.
     """
     if t.n == 1:
         return Backbone((0,), True)
-    core = [v for v in range(t.n) if t.degree(v) > 1]
-    if not core:
-        # single edge: removing pendants leaves nothing
-        return Backbone((), True)
-    core_set = set(core)
-    core_deg = {v: sum(1 for w in t.adjacency[v] if w in core_set) for v in core}
-    if any(d > 2 for d in core_deg.values()):
+    path = _diametral_path(t)
+    on_path = set(path)
+    if any(t.degree(w) > 1 for w in range(t.n) if w not in on_path):
         return Backbone((), False)
-    ends = sorted(v for v in core if core_deg[v] <= 1)
-    if len(core) == 1:
-        return Backbone((core[0],), True)
-    if len(ends) != 2:
-        return Backbone((), False)
-    # walk the path from the smaller end
-    start = ends[0]
-    path = [start]
-    prev = -1
-    while True:
-        nxt = [w for w in t.adjacency[path[-1]] if w in core_set and w != prev]
-        if not nxt:
-            break
-        prev = path[-1]
-        path.append(nxt[0])
-    if len(path) != len(core):
-        return Backbone((), False)  # core is disconnected after leaf removal
-    return Backbone(tuple(path), True)
+    inner = path[1:-1]
+    if inner and inner[0] > inner[-1]:
+        inner = inner[::-1]
+    return Backbone(inner, True)
 
 
 def is_caterpillar(t: Tree) -> bool:
     return backbone(t).is_caterpillar
 
 
-def _centers(t: Tree) -> list[int]:
-    """The one or two middle vertices of a diametral path, in path order.
-
-    The last vertex of a BFS order is farthest from the root, so a BFS from
-    0 finds one end u of a diametral path and a BFS from u finds the other.
-    """
-    u = _bfs_order(t, 0)[0][-1]
-    order, parent = _bfs_order(t, u)
-    path = [order[-1]]
-    while path[-1] != u:
-        path.append(parent[path[-1]])
-    mid = len(path) // 2
-    return path[mid - 1 : mid + 1] if len(path) % 2 == 0 else [path[mid]]
+def _ahu(codes: list[bytes]) -> bytes:
+    return b"(" + b"".join(sorted(codes)) + b")"
 
 
 def canonical_code(t: Tree) -> bytes:
@@ -261,23 +238,36 @@ def canonical_code(t: Tree) -> bytes:
     A vertex's code is b"(" + its children's codes in sorted order + b")".
     For two centers the smaller of the two rooted codes is taken.  Equal
     codes exactly for isomorphic trees; deterministic; no recursion.
+
+    Leaves are peeled layer by layer; each peeled vertex hands its code to
+    its one remaining neighbour, and the last one or two vertices left are
+    the centers (Jordan).
     """
-    centers = _centers(t)
-    root = centers[0]
-    order, parent = _bfs_order(t, root)
+    degree = [len(nbrs) for nbrs in t.adjacency]
     kids: list[list[bytes]] = [[] for _ in range(t.n)]
-    code: list[bytes] = [b""] * t.n
-    for v in reversed(order[1:]):
-        code[v] = b"(" + b"".join(sorted(kids[v])) + b")"
-        kids[parent[v]].append(code[v])
-    best = b"(" + b"".join(sorted(kids[root])) + b")"
-    if len(centers) == 2:
-        # re-root at the other center: the root becomes its extra child
-        other = centers[1]
-        kids[root].remove(code[other])
-        kids[other].append(b"(" + b"".join(sorted(kids[root])) + b")")
-        best = min(best, b"(" + b"".join(sorted(kids[other])) + b")")
-    return best
+    layer = [v for v in range(t.n) if degree[v] <= 1]
+    left = t.n
+    while left > 2:
+        left -= len(layer)
+        next_layer = []
+        for v in layer:
+            # degree 0 marks v peeled, so its one unpeeled neighbour is the
+            # only one with a nonzero degree
+            degree[v] = 0
+            code = _ahu(kids[v])
+            for w in t.adjacency[v]:
+                if degree[w]:
+                    kids[w].append(code)
+                    degree[w] -= 1
+                    if degree[w] == 1:
+                        next_layer.append(w)
+                    break
+        layer = next_layer
+    if len(layer) == 1:
+        return _ahu(kids[layer[0]])
+    a, b = layer
+    code_a, code_b = _ahu(kids[a]), _ahu(kids[b])
+    return min(_ahu(kids[a] + [code_b]), _ahu(kids[b] + [code_a]))
 
 
 def relabel(t: Tree, perm: list[int] | tuple[int, ...]) -> Tree:

@@ -5,7 +5,9 @@ eccentricities by n separate BFS runs, Wiener by summing an explicit distance
 matrix, the other distance indices by all-pairs sums over explicit n x n and
 m x m distance matrices, subtree counts by subset connectivity, free-tree
 counts by labelled (Pruefer) enumeration plus canonical dedup, canonical codes
-by recursive AHU at the centers found from the brute-force eccentricities.
+by recursive AHU at the centers found from the brute-force eccentricities, the
+backbone by a walk over core degrees, and the rewrite move from separate
+searches for the diametral path and for each side of the pivot.
 """
 
 from __future__ import annotations
@@ -15,7 +17,14 @@ from collections import deque
 from fractions import Fraction
 from math import comb
 
-from ecctrees.tree import Tree, canonical_code, distances_from, tree_from_pruefer
+from ecctrees.rewrite import RewriteMove
+from ecctrees.tree import (
+    Backbone,
+    Tree,
+    canonical_code,
+    distances_from,
+    tree_from_pruefer,
+)
 
 
 def ecc_bruteforce(t: Tree) -> list[int]:
@@ -153,4 +162,95 @@ def is_caterpillar_bruteforce(t: Tree) -> bool:
     core = {v for v in range(t.n) if t.degree(v) > 1}
     return all(
         sum(1 for w in t.adjacency[v] if w in core) <= 2 for v in core
+    )
+
+
+def backbone_core_walk(t: Tree) -> Backbone:
+    """Remove the leaves; if the core is a path, walk it from its smaller end."""
+    if t.n == 1:
+        return Backbone((0,), True)
+    core = [v for v in range(t.n) if t.degree(v) > 1]
+    if not core:
+        return Backbone((), True)
+    core_set = set(core)
+    core_deg = {v: sum(1 for w in t.adjacency[v] if w in core_set) for v in core}
+    if any(d > 2 for d in core_deg.values()):
+        return Backbone((), False)
+    ends = sorted(v for v in core if core_deg[v] <= 1)
+    if len(core) == 1:
+        return Backbone((core[0],), True)
+    if len(ends) != 2:
+        return Backbone((), False)
+    path = [ends[0]]
+    prev = -1
+    while True:
+        nxt = [w for w in t.adjacency[path[-1]] if w in core_set and w != prev]
+        if not nxt:
+            break
+        prev = path[-1]
+        path.append(nxt[0])
+    if len(path) != len(core):
+        return Backbone((), False)
+    return Backbone(tuple(path), True)
+
+
+def _reach(t: Tree, start: int, blocked: set[int]) -> set[int]:
+    """Vertices reachable from start without entering blocked."""
+    seen = {start}
+    queue = deque([start])
+    while queue:
+        v = queue.popleft()
+        for w in t.adjacency[v]:
+            if w not in blocked and w not in seen:
+                seen.add(w)
+                queue.append(w)
+    return seen
+
+
+def _path_between(t: Tree, a: int, b: int) -> tuple[int, ...]:
+    parent = {a: a}
+    queue = deque([a])
+    while queue:
+        v = queue.popleft()
+        for w in t.adjacency[v]:
+            if w not in parent:
+                parent[w] = v
+                queue.append(w)
+    path = [b]
+    while path[-1] != a:
+        path.append(parent[path[-1]])
+    return tuple(reversed(path))
+
+
+def find_move_by_components(t: Tree) -> RewriteMove | None:
+    """The rewrite move as specified in ecctrees.rewrite.find_move: the
+    diametral path between the lowest-id farthest vertices, the first
+    off-path non-pendant neighbour along it, U and R by reachability."""
+    da = distances_from(t, 0)
+    a = da.index(max(da))
+    db = distances_from(t, a)
+    path = _path_between(t, a, db.index(max(db)))
+    on_path = set(path)
+    candidates = [
+        (j, u)
+        for j, vj in enumerate(path)
+        for u in t.adjacency[vj]
+        if u not in on_path and t.degree(u) > 1
+    ]
+    if not candidates:
+        return None
+    j, u = candidates[0]
+    d = len(path) - 1
+    if 2 * j < d:
+        path, j = path[::-1], d - j
+    vj = path[j]
+    detached = frozenset(_reach(t, u, {vj}) - {u})
+    return RewriteMove(
+        path=path,
+        j=j,
+        u=u,
+        moved=tuple(sorted(w for w in t.adjacency[u] if w != vj)),
+        target=path[j + 1],
+        detached=detached,
+        right=frozenset(_reach(t, path[j + 1], {vj}) - detached),
     )

@@ -2,6 +2,7 @@ import json
 import os
 import subprocess
 import sys
+from decimal import Decimal
 from importlib import resources
 from pathlib import Path
 
@@ -81,6 +82,18 @@ class TestExtremal:
         assert code == 0
         assert payload["wiener"] == 9
         assert payload["subtrees"] == "11"
+
+    def test_subtree_count_beyond_int_str_limit(self, capsys, schemas):
+        """N of the 15 001-vertex star has 4 516 digits, more than the
+        4 300 that str(int) accepts by default."""
+        expected = 2**15000 + 15000
+        code, payload = run_json(capsys, schemas, "extremal", "1^1,2^15000")
+        assert code == 0
+        assert len(payload["subtrees"]) == 4516
+        assert Decimal(payload["subtrees"]) == expected
+        code, out, _ = run(capsys, "extremal", "1^1,2^15000")
+        assert code == 0
+        assert Decimal(out.splitlines()[-1].removeprefix("N=")) == expected
 
     def test_invalid_sequence(self, capsys):
         code, _, _ = run(capsys, "extremal", "2,3,4,4")

@@ -3,6 +3,7 @@ import os
 import subprocess
 import sys
 import tracemalloc
+from decimal import Decimal
 from fractions import Fraction
 from math import comb
 from pathlib import Path
@@ -13,6 +14,7 @@ from hypothesis import given, settings
 import ecctrees
 from ecctrees.extremal import CaterpillarSpec, build_caterpillar
 from ecctrees.invariants import (
+    InvariantReport,
     edge_wiener,
     edge_wiener_line,
     gutman,
@@ -245,6 +247,11 @@ class TestReport:
                 continue
             for t in trees:
                 assert vertex_edge_wiener(t).denominator == 1
+
+    def test_to_dict_subtrees_beyond_int_str_limit(self):
+        big = 2**15000 + 15000  # 4 516 digits; str(int) stops at 4 300
+        report = InvariantReport(15001, 0, big, 0, 0, Fraction(0), 0, 0, 0, {}, {})
+        assert Decimal(report.to_dict()["subtrees"]) == big
 
     def test_to_dict_rejects_half_integer_under_optimize(self):
         """The integrality check survives python -O, which strips asserts."""

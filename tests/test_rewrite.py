@@ -6,7 +6,8 @@ from ecctrees.rewrite import StaleMoveError, apply_move, caterpillarize, find_mo
 from ecctrees.sequence import eccentric_sequence
 from ecctrees.tree import Tree, is_caterpillar
 
-from .conftest import random_trees
+from .conftest import random_trees, seeded_random_trees
+from .oracles import find_move_by_components
 
 
 SPIDER = Tree(7, ((0, 1), (1, 2), (0, 3), (3, 4), (0, 5), (5, 6)))
@@ -33,6 +34,11 @@ class TestFindMove:
     def test_hung_path_pivot_is_mid_vertex(self):
         m = find_move(hung_path())
         assert m.u == 5
+
+    def test_matches_component_oracle(self, small_free_trees):
+        trees = [t for ts in small_free_trees.values() for t in ts]
+        for t in trees + seeded_random_trees(100, max_n=80):
+            assert find_move(t) == find_move_by_components(t)
 
     def test_pivot_on_far_half(self):
         for t in [SPIDER, hung_path()]:

@@ -21,8 +21,9 @@ from ecctrees.tree import (
 )
 from ecctrees.extremal import CaterpillarSpec, build_caterpillar
 
-from .conftest import random_trees
+from .conftest import random_trees, seeded_random_trees
 from .oracles import (
+    backbone_core_walk,
     canonical_code_recursive,
     ecc_bruteforce,
     free_tree_count_bruteforce,
@@ -163,6 +164,13 @@ class TestBackbone:
             for t in trees:
                 assert backbone(t).is_caterpillar == is_caterpillar_bruteforce(t)
 
+    def test_matches_core_walk_oracle(self, small_free_trees):
+        for trees in small_free_trees.values():
+            for t in trees:
+                assert backbone(t) == backbone_core_walk(t)
+        for t in seeded_random_trees(100, max_n=80):
+            assert backbone(t) == backbone_core_walk(t)
+
 
 class TestCanonicalCode:
     def test_relabeling_invariance(self):
@@ -196,6 +204,8 @@ class TestCanonicalCode:
         for n in range(1, 13):
             for t in free_trees(n):
                 assert canonical_code(t) == canonical_code_recursive(t)
+        for t in seeded_random_trees(200, max_n=60):
+            assert canonical_code(t) == canonical_code_recursive(t)
 
     @pytest.mark.parametrize(
         "t",
