@@ -4,9 +4,11 @@ Every integer-valued index is computed exactly; the vertex-edge Wiener index is
 kept as an exact Fraction internally (it carries a 1/2 factor) and the
 lambda-Wiener family is the only floating-point quantity.
 
-The other distance indices take a BFS row per vertex or per edge, in O(n)
-memory, and are summed from their definitions, never through the tree
-identities, so the residuals of invariant_report stay checks.
+The other distance indices take one BFS row per vertex, n rows in all, in
+O(n) memory, and are summed from their definitions, never through the tree
+identities, so the residuals of invariant_report stay checks.  The edge
+Wiener index is summed edge by edge too: the row of an edge is read off the
+rows of its two ends (see _vertex_pass).
 """
 
 from __future__ import annotations
@@ -68,22 +70,43 @@ def _nearest_end_sum(row: list[int], edges) -> int:
     return sum([row[a] if row[a] < row[b] else row[b] for a, b in edges])
 
 
-def _vertex_pass(t: Tree, sums: bool = True) -> tuple[list[int], int, int, int]:
+def _vertex_pass(t: Tree, sums: bool = True) -> tuple[list[int], int, int, int, int]:
     """One BFS row per vertex: the number of unordered pairs at each distance
-    d (0 at d = 0) and, if sums, the Schultz and Gutman indices and the sum
-    of all vertex-to-edge distances.  Every pair is met from both ends."""
+    d (0 at d = 0) and, if sums, the Schultz and Gutman indices, the sum of
+    all vertex-to-edge distances and the edge Wiener index.  Every pair is
+    met from both ends.
+
+    The edge Wiener index is summed over the rows of the edges without
+    taking them.  Let near(v) be the sum over the edges (x, y) of
+    min(d(v, x), d(v, y)), the vertex-edge term of v's row.  The row of an
+    edge (a, b) with sides A and B is min(d(a, .), d(b, .)): that is d(a, .)
+    less one on B, so the edge's row sum is near(a) - (|B| - 1), and likewise
+    near(b) - (|A| - 1).  As |A| + |B| = n, twice the edge's row sum is
+    near(a) + near(b) - (n - 2).  Summed over the edges, the sum of
+    deg(v) * near(v) is twice the edges' row sums plus (n - 1)(n - 2), and
+    the edges' row sums add up to 2 W_e, each edge pair met from both ends."""
+    n = t.n
     deg = t.degrees()
-    counts = [0] * t.n
-    schultz = gutman = vertex_edge = 0
-    for v in range(t.n):
+    counts = [0] * n
+    schultz = gutman = vertex_edge = edge_ends = 0
+    for v in range(n):
         row = distances_from(t, v)
         for d in row:
             counts[d] += 1
         if sums:
             schultz += deg[v] * sum(row)
             gutman += deg[v] * sum([du * d for du, d in zip(deg, row)])
-            vertex_edge += _nearest_end_sum(row, t.edges)
-    return [0] + [c // 2 for c in counts[1:]], schultz, gutman // 2, vertex_edge
+            near = _nearest_end_sum(row, t.edges)
+            vertex_edge += near
+            edge_ends += deg[v] * near
+    edge_wiener = (edge_ends - (n - 1) * (n - 2)) // 4 if sums else 0
+    return (
+        [0] + [c // 2 for c in counts[1:]],
+        schultz,
+        gutman // 2,
+        vertex_edge,
+        edge_wiener,
+    )
 
 
 def _hyper_wiener(pair_counts: list[int]) -> int:
@@ -101,13 +124,10 @@ def _wiener_lambda(pair_counts: list[int], lam: float) -> float:
 
 
 def edge_wiener(t: Tree) -> int:
-    """Sum over unordered edge pairs of the nearest-endpoint distance, from
-    one row per edge (a, b), min(d(a, x), d(b, x)), in O(n) memory."""
-    total = 0
-    for a, b in t.edges:
-        row = list(map(min, distances_from(t, a), distances_from(t, b)))
-        total += _nearest_end_sum(row, t.edges)
-    return total // 2
+    """Sum over unordered edge pairs of the nearest-endpoint distance, each
+    edge's row min(d(a, .), d(b, .)) read off the rows of its ends, so it
+    takes one BFS row per vertex in O(n) memory (see _vertex_pass)."""
+    return _vertex_pass(t)[4]
 
 
 def edge_wiener_line(t: Tree) -> int:
@@ -183,9 +203,8 @@ def invariant_report(t: Tree, lambdas: tuple[float, ...] = ()) -> InvariantRepor
     """
     n = t.n
     w = wiener(t)
-    counts, wp, wm, vertex_edge = _vertex_pass(t)
+    counts, wp, wm, vertex_edge, we = _vertex_pass(t)
     wve = Fraction(vertex_edge, 2)
-    we = edge_wiener(t)
     wel = we + comb(len(t.edges), 2)
     residuals = {
         "edge_wiener": we - (w - (n - 1) ** 2),

@@ -78,6 +78,11 @@ def apply_move(t: Tree, m: RewriteMove) -> Tree:
     """Reattach N(u) - {v_j} from u to v_{j+1}; same vertex set."""
     if find_move(t) != m:
         raise StaleMoveError("move was not produced by find_move on this tree")
+    return _reattach(t, m)
+
+
+def _reattach(t: Tree, m: RewriteMove) -> Tree:
+    """apply_move without the staleness check, for a move just found on t."""
     drop = {tuple(sorted((m.u, y))) for y in m.moved}
     edges = [e for e in t.edges if e not in drop]
     edges.extend(tuple(sorted((m.target, y))) for y in m.moved)
@@ -90,4 +95,4 @@ def caterpillarize(t: Tree) -> Tree:
         m = find_move(t)
         if m is None:
             return t
-        t = apply_move(t, m)
+        t = _reattach(t, m)

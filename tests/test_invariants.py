@@ -1,5 +1,6 @@
 import math
 import os
+import random
 import subprocess
 import sys
 import tracemalloc
@@ -12,6 +13,7 @@ import pytest
 from hypothesis import given, settings
 
 import ecctrees
+import ecctrees.invariants
 from ecctrees.extremal import CaterpillarSpec, build_caterpillar
 from ecctrees.invariants import (
     InvariantReport,
@@ -217,6 +219,35 @@ class TestDistanceKernel:
                 expected = wiener_lambda_bruteforce(t, lam)
                 assert math.isclose(wiener_lambda(t, lam), expected, rel_tol=1e-12)
                 assert math.isclose(report.wiener_lambda[lam], expected, rel_tol=1e-12)
+
+    @pytest.mark.parametrize(
+        "t",
+        [Tree(1, ()), path(2), path(9), star(9), seeded_random_trees(1, 60, seed=3)[0]],
+        ids=["n1", "n2", "path", "star", "random"],
+    )
+    def test_one_bfs_row_per_vertex(self, t, monkeypatch):
+        calls = []
+        kernel = ecctrees.invariants.distances_from
+
+        def counted(tree, v):
+            calls.append(v)
+            return kernel(tree, v)
+
+        monkeypatch.setattr(ecctrees.invariants, "distances_from", counted)
+        invariant_report(t, (1, 2))
+        assert len(calls) == t.n
+        calls.clear()
+        edge_wiener(t)
+        assert len(calls) == t.n
+
+    def test_edge_wiener_relabelling_invariant(self):
+        rng = random.Random(5)
+        for t in seeded_random_trees(20, max_n=80, seed=11):
+            perm = list(range(t.n))
+            while perm[0] == 0:
+                rng.shuffle(perm)
+            moved = Tree(t.n, tuple((perm[a], perm[b]) for a, b in t.edges))
+            assert edge_wiener(moved) == edge_wiener(t) == edge_wiener_bruteforce(t)
 
 
 class TestReport:

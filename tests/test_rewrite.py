@@ -1,6 +1,7 @@
 import pytest
 from hypothesis import given, settings
 
+import ecctrees.rewrite
 from ecctrees.invariants import subtree_count, wiener_pairwise
 from ecctrees.rewrite import StaleMoveError, apply_move, caterpillarize, find_move
 from ecctrees.sequence import eccentric_sequence
@@ -105,6 +106,23 @@ class TestCaterpillarize:
             for t in trees:
                 cat = caterpillarize(t)
                 assert caterpillarize(cat) == cat
+
+    def test_matches_move_loop_finding_each_move_once(self, monkeypatch):
+        calls = []
+
+        def counted(t):
+            calls.append(t)
+            return find_move(t)
+
+        monkeypatch.setattr(ecctrees.rewrite, "find_move", counted)
+        for t in seeded_random_trees(30, max_n=60, seed=2):
+            looped, moves = t, 0
+            while (m := find_move(looped)) is not None:
+                looped = apply_move(looped, m)
+                moves += 1
+            calls.clear()
+            assert caterpillarize(t) == looped
+            assert len(calls) == moves + 1
 
     @settings(max_examples=100, deadline=None)
     @given(random_trees(min_n=3, max_n=14))
