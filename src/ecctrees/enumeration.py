@@ -90,10 +90,13 @@ def _free_tree_edges(n: int):
     """Edge tuples of the nonisomorphic trees on n vertices (Wright,
     Richmond, Odlyzko & McKay 1986, over the Beyer-Hedetniemi rooted
     successor).  Vertex i is entry i of the tree's level sequence and is
-    joined to its parent, the last earlier vertex one level up."""
+    joined to its parent p, the last earlier vertex one level up.  The edge
+    is pair[p][i] == (p, i), from one table per call, so all the trees share
+    at most n(n-1)/2 edge objects (Tree keeps a normalized tuple as is)."""
     if n == 1:
         yield ()
         return
+    pair = [[(p, i) for i in range(n)] for p in range(n)]
     # the path rooted at its center comes first
     level: list[int] | None = list(range(n // 2 + 1)) + list(range(1, (n + 1) // 2))
     while level is not None:
@@ -102,7 +105,7 @@ def _free_tree_edges(n: int):
         edges = []
         for i in range(1, n):
             d = level[i]
-            edges.append((i, last[d - 1]))
+            edges.append(pair[last[d - 1]][i])
             last[d] = i
         yield tuple(edges)
         p = n - 1

@@ -27,9 +27,20 @@ def _normalize_edge(u: int, v: int) -> tuple[int, int]:
     return (u, v) if u < v else (v, u)
 
 
-@dataclass(frozen=True)
+def _own_edge(edge) -> tuple[int, int]:
+    """edge as a normalized pair; an exact tuple already in order is kept,
+    so trees built from one table of pairs share their edge objects."""
+    u, v = edge
+    return edge if type(edge) is tuple and u < v else _normalize_edge(u, v)
+
+
+@dataclass(frozen=True, slots=True)
 class Tree:
-    """Undirected tree on vertices 0..n-1, given by its n-1 edges."""
+    """Undirected tree on vertices 0..n-1, given by its n-1 edges.
+
+    Slotted, so an instance carries no __dict__; an edge passed in as a
+    normalized tuple is stored as is rather than copied.
+    """
 
     n: int
     edges: tuple[tuple[int, int], ...]
@@ -40,7 +51,7 @@ class Tree:
     def __post_init__(self):
         if self.n < 1:
             raise TreeError("tree must have at least one vertex")
-        edges = tuple(sorted(_normalize_edge(u, v) for u, v in self.edges))
+        edges = tuple(sorted(map(_own_edge, self.edges)))
         if len(edges) != self.n - 1:
             raise TreeError(f"expected {self.n - 1} edges, got {len(edges)}")
         adj: list[list[int]] = [[] for _ in range(self.n)]
@@ -279,6 +290,14 @@ def tree_from_pruefer(seq: tuple[int, ...], n: int | None = None) -> Tree:
     """Labeled tree on n vertices from a Pruefer sequence of length n-2."""
     if n is None:
         n = len(seq) + 2
+    if n < 1:
+        raise TreeError("tree must have at least one vertex")
+    if len(seq) != max(n - 2, 0):
+        raise TreeError(f"Pruefer sequence for {n} vertices needs length "
+                        f"{max(n - 2, 0)}, got {len(seq)}")
+    for v in seq:
+        if not 0 <= v < n:
+            raise TreeError(f"Pruefer label {v} out of range 0..{n - 1}")
     if n == 1:
         return Tree(1, ())
     if n == 2:

@@ -63,6 +63,11 @@ class TestFreeTrees:
         with pytest.raises(ValueError):
             free_trees(0)
 
+    @pytest.mark.parametrize("n", [8, 9, 10])
+    def test_trees_of_one_order_share_edge_objects(self, n):
+        trees = free_trees(n)
+        assert len({id(e) for t in trees for e in t.edges}) <= n * (n - 1) // 2
+
     def test_generator_matches_networkx(self):
         """Same labelled trees in the same order as networkx's generator,
         which implements the same algorithm (test-only oracle)."""

@@ -1,4 +1,6 @@
+import copy
 import itertools
+import pickle
 import random
 import sys
 
@@ -17,6 +19,7 @@ from ecctrees.tree import (
     is_caterpillar,
     parse_tree,
     relabel,
+    tree_from_pruefer,
     tree_to_text,
 )
 from ecctrees.extremal import CaterpillarSpec, build_caterpillar
@@ -80,6 +83,45 @@ class TestParse:
     def test_disconnected(self):
         with pytest.raises(TreeError):
             Tree(4, ((0, 1), (2, 3), (0, 1)))
+
+
+class TestLayout:
+    @pytest.mark.parametrize(
+        "edges",
+        [
+            [[2, 3], [0, 1], [1, 2]],
+            ((3, 2), (1, 0), (2, 1)),
+            ([3, 2], (0, 1), (2, 1)),
+        ],
+        ids=["lists", "reversed", "mixed"],
+    )
+    def test_edges_are_sorted_normalized_tuples(self, edges):
+        t = Tree(4, edges)
+        assert t.edges == ((0, 1), (1, 2), (2, 3))
+        assert type(t.edges) is tuple
+        assert all(type(e) is tuple for e in t.edges)
+        assert t == path(4)
+
+    def test_no_instance_dict(self):
+        assert not hasattr(path(4), "__dict__")
+
+    def test_pickle_and_deepcopy_round_trip(self):
+        t = Tree(5, ((0, 1), (1, 2), (1, 3), (3, 4)))
+        for other in (pickle.loads(pickle.dumps(t)), copy.deepcopy(t)):
+            assert other == t
+            assert hash(other) == hash(t)
+            assert other.adjacency == t.adjacency
+
+
+class TestPruefer:
+    @pytest.mark.parametrize(
+        "seq, n",
+        [((5,), 3), ((0, 0, 0), 4), ((0,), 2)],
+        ids=["label-out-of-range", "too-long", "too-long-for-an-edge"],
+    )
+    def test_malformed_input_is_tree_error(self, seq, n):
+        with pytest.raises(TreeError):
+            tree_from_pruefer(seq, n)
 
 
 class TestDistances:
