@@ -18,8 +18,8 @@ from .extremal import (
     spec_decomposition,
 )
 from .invariants import (
+    _distance_sums,
     _hyper_wiener,
-    _vertex_pass,
     _wiener_lambda,
     count_text,
     subtree_count,
@@ -449,7 +449,7 @@ def explore_conjecture(max_n: int, lambdas: tuple[float, ...]) -> ConjectureRepo
     for n in range(3, max_n + 1):
         for s, trees in _trees_by_sequence(n).items():
             construction_code = canonical_code(extremal_tree(s))
-            counts = [_vertex_pass(t, sums=False)[0] for t in trees]
+            counts = [_distance_sums(t, sums=False)[0] for t in trees]
             # hyper-Wiener: exact integers, exact ties
             indices = [("HW", [_hyper_wiener(c) for c in counts], True)]
             for lam in lambdas:

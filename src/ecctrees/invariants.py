@@ -4,11 +4,15 @@ Every integer-valued index is computed exactly; the vertex-edge Wiener index is
 kept as an exact Fraction internally (it carries a 1/2 factor) and the
 lambda-Wiener family is the only floating-point quantity.
 
-The other distance indices take one BFS row per vertex, n rows in all, in
-O(n) memory, and are summed from their definitions, never through the tree
-identities, so the residuals of invariant_report stay checks.  The edge
-Wiener index is summed edge by edge too: the row of an edge is read off the
-rows of its two ends (see _vertex_pass).
+The other distance indices come from one centroid-decomposition kernel,
+_distance_sums: O(n log n) BFS vertex visits in O(n) memory, plus one exact
+convolution of depth histograms per branch (by Kronecker substitution when
+the lists are long), so a 10^5-vertex tree takes seconds.  Each index is
+summed from its definition over the vertex pairs, or vertex-edge pairs, that
+a centroid separates, with every distance read off a BFS depth and never
+through the tree identities, so the residuals of invariant_report stay
+checks.  The edge Wiener index is summed edge by edge too: the row of an
+edge is read off the rows of its two ends.
 """
 
 from __future__ import annotations
@@ -65,48 +69,158 @@ def subtree_count(t: Tree) -> int:
     return sum(f)
 
 
-def _nearest_end_sum(row: list[int], edges) -> int:
-    """Sum over the edges (a, b) of min(row[a], row[b])."""
-    return sum([row[a] if row[a] < row[b] else row[b] for a, b in edges])
+# Below this many coefficient products a schoolbook convolution beats one
+# packed big-int product (about 130 on a 2-core Xeon, Python 3.11).
+_SCHOOLBOOK_MAX = 128
 
 
-def _vertex_pass(t: Tree, sums: bool = True) -> tuple[list[int], int, int, int, int]:
-    """One BFS row per vertex: the number of unordered pairs at each distance
-    d (0 at d = 0) and, if sums, the Schultz and Gutman indices, the sum of
-    all vertex-to-edge distances and the edge Wiener index.  Every pair is
-    met from both ends.
+def _kronecker_product(a: list[int], b: list[int]) -> list[int]:
+    """The product of two lists of nonnegative coefficients, neither all
+    zero, by one big-int product (Kronecker substitution; Harvey, "Faster
+    polynomial multiplication via multipoint Kronecker substitution", 2009).
 
-    The edge Wiener index is summed over the rows of the edges without
-    taking them.  Let near(v) be the sum over the edges (x, y) of
-    min(d(v, x), d(v, y)), the vertex-edge term of v's row.  The row of an
-    edge (a, b) with sides A and B is min(d(a, .), d(b, .)): that is d(a, .)
-    less one on B, so the edge's row sum is near(a) - (|B| - 1), and likewise
-    near(b) - (|A| - 1).  As |A| + |B| = n, twice the edge's row sum is
-    near(a) + near(b) - (n - 2).  Summed over the edges, the sum of
-    deg(v) * near(v) is twice the edges' row sums plus (n - 1)(n - 2), and
-    the edges' row sums add up to 2 W_e, each edge pair met from both ends."""
+    Each list is packed into an int with w bytes per coefficient.  Every
+    coefficient of the product is at most sum(a) * sum(b), so w bytes hold
+    it and no slot carries into the next; the product's bytes are then
+    read back w at a time.
+    """
+    w = ((sum(a) * sum(b)).bit_length() + 7) // 8
+    pa = int.from_bytes(b"".join([x.to_bytes(w, "little") for x in a]), "little")
+    pb = int.from_bytes(b"".join([x.to_bytes(w, "little") for x in b]), "little")
+    m = (len(a) + len(b) - 1) * w
+    buf = (pa * pb).to_bytes(m, "little")
+    return [int.from_bytes(buf[i : i + w], "little") for i in range(0, m, w)]
+
+
+def _centroid(adjacency, removed, parent, size, order: list[int]) -> int:
+    """The centroid of a component, given its BFS order from order[0] and
+    each vertex's parent in it: walk down from order[0] into the child
+    holding more than half of the component, while there is one."""
+    for v in order:
+        size[v] = 1
+    for v in order[:0:-1]:
+        size[parent[v]] += size[v]
+    half = len(order) // 2
+    v = order[0]
+    while True:
+        p = parent[v]
+        for w in adjacency[v]:
+            if w != p and not removed[w] and size[w] > half:
+                v = w
+                break
+        else:
+            return v
+
+
+def _distance_sums(t: Tree, sums: bool = True) -> tuple[list[int], int, int, int, int]:
+    """The number of unordered vertex pairs at each distance d (0 at d = 0)
+    and, if sums, the Schultz and Gutman indices, the sum of all
+    vertex-to-edge distances and the edge Wiener index, by centroid
+    decomposition.
+
+    A component is split at its centroid c into branches, one per
+    neighbour x of c, each taken by one BFS from x that gives every vertex
+    its depth (distance to c) and the subtree sizes that locate the
+    branch's own centroid.  The pairs that c separates are counted at c
+    and the branches are split in turn, so each vertex is visited once per
+    level, O(n log n) visits in all, in O(n) memory.  c itself is a branch
+    of its own, at depth 0.
+
+    - Pairs: for u and v in different branches d(u, v) = depth(u) +
+      depth(v), so the branches' depth histograms, folded in one at a time
+      (shortest first), are convolved with the running histogram of those
+      before: term by term when short, else by _kronecker_product.
+    - Schultz and Gutman: with the totals N = count, D = sum of depths,
+      G = sum of degrees and GD = sum of deg * depth, the sums over all
+      unordered pairs of a component, both ends in it, are N * GD + D * G
+      and GD * G (half the ordered sums); the branches' own terms are
+      subtracted.
+    - Vertex-edge: an edge belongs to the branch of its deeper end and
+      d(v, e) = depth(v) + depth(e's upper end) for v outside that branch.
+      The edges (c, x) leave with c, so each is also counted here for the
+      vertices v of x's branch, at depth(v) - 1.  Both sums are taken with
+      the weight 1 (the vertex-edge sum) and with deg(v), which gives
+      sum of deg(v) * near(v), near(v) being v's vertex-edge sum.
+    - Edge Wiener: the row of an edge (a, b) with sides A and B,
+      min(d(a, .), d(b, .)), is d(a, .) less one on B, so its nearest-end
+      sum over the edges is near(a) - (|B| - 1), and likewise near(b) -
+      (|A| - 1).  As |A| + |B| = n, twice it is near(a) + near(b) - (n - 2).
+      Summed over the edges, the sum of deg(v) * near(v) is twice the
+      edges' row sums plus (n - 1)(n - 2), and the edges' row sums add up
+      to 2 W_e, each edge pair met from both ends.
+
+    Every term is a distance read off a BFS depth, none a subtree size or
+    the Wiener index, so the residuals of invariant_report stay checks.
+    """
     n = t.n
-    deg = t.degrees()
+    adjacency = t.adjacency
+    deg = t.degrees() if sums else None
     counts = [0] * n
     schultz = gutman = vertex_edge = edge_ends = 0
-    for v in range(n):
-        row = distances_from(t, v)
-        for d in row:
-            counts[d] += 1
+    removed = bytearray(n)
+    order, parent = _bfs_order(t, 0)
+    size = [0] * n
+    depth = [0] * n
+    stack = [_centroid(adjacency, removed, parent, size, order)]
+    while stack:
+        c = stack.pop()
+        removed[c] = 1
+        branches = []
+        for x in adjacency[c]:
+            if removed[x]:
+                continue
+            if len(adjacency[x]) == 1:  # a leaf: one vertex, at depth 1
+                branches.append((1, [1], 1, 1, 1, 1))
+                continue
+            parent[x] = c
+            depth[x] = 1
+            order = [x]
+            for v in order:
+                p = parent[v]
+                dw = depth[v] + 1
+                for w in adjacency[v]:
+                    if w != p and not removed[w]:
+                        parent[w] = v
+                        depth[w] = dw
+                        order.append(w)
+            hist = [0] * depth[order[-1]]
+            for v in order:
+                hist[depth[v] - 1] += 1
+            db = gb = gdb = 0
+            if sums:
+                db = sum([d * k for d, k in enumerate(hist, 1)])
+                gb = sum([deg[v] for v in order])
+                gdb = sum([deg[v] * depth[v] for v in order])
+            if len(order) > 1:  # a lone vertex has no pairs left to count
+                stack.append(_centroid(adjacency, removed, parent, size, order))
+            branches.append((len(hist), hist, len(order), db, gb, gdb))
+        branches.sort()
+        reach = [1]
+        for height, hist, *_ in branches:
+            if len(reach) * height <= _SCHOOLBOOK_MAX:
+                for i, r in enumerate(reach, 1):
+                    for d, k in enumerate(hist, i):
+                        counts[d] += r * k
+            else:
+                for d, k in enumerate(_kronecker_product(reach, hist), 1):
+                    counts[d] += k
+            reach += [0] * (height + 1 - len(reach))
+            for d, k in enumerate(hist, 1):
+                reach[d] += k
         if sums:
-            schultz += deg[v] * sum(row)
-            gutman += deg[v] * sum([du * d for du, d in zip(deg, row)])
-            near = _nearest_end_sum(row, t.edges)
-            vertex_edge += near
-            edge_ends += deg[v] * near
+            N = 1 + sum([b[2] for b in branches])
+            D = sum([b[3] for b in branches])
+            G = deg[c] + sum([b[4] for b in branches])
+            GD = sum([b[5] for b in branches])
+            schultz += N * GD + D * G
+            gutman += GD * G
+            for _, _, nb, db, gb, gdb in branches:
+                schultz -= nb * gdb + db * gb
+                gutman -= gdb * gb
+                vertex_edge += (N - nb) * (db - nb) + (D - db) * nb + db - nb
+                edge_ends += (G - gb) * (db - nb) + (GD - gdb) * nb + gdb - gb
     edge_wiener = (edge_ends - (n - 1) * (n - 2)) // 4 if sums else 0
-    return (
-        [0] + [c // 2 for c in counts[1:]],
-        schultz,
-        gutman // 2,
-        vertex_edge,
-        edge_wiener,
-    )
+    return counts, schultz, gutman, vertex_edge, edge_wiener
 
 
 def _hyper_wiener(pair_counts: list[int]) -> int:
@@ -126,8 +240,8 @@ def _wiener_lambda(pair_counts: list[int], lam: float) -> float:
 def edge_wiener(t: Tree) -> int:
     """Sum over unordered edge pairs of the nearest-endpoint distance, each
     edge's row min(d(a, .), d(b, .)) read off the rows of its ends, so it
-    takes one BFS row per vertex in O(n) memory (see _vertex_pass)."""
-    return _vertex_pass(t)[4]
+    takes no pass over the edges of its own (see _distance_sums)."""
+    return _distance_sums(t)[4]
 
 
 def edge_wiener_line(t: Tree) -> int:
@@ -137,28 +251,28 @@ def edge_wiener_line(t: Tree) -> int:
 
 def vertex_edge_wiener(t: Tree) -> Fraction:
     """Half the sum of all vertex-to-edge distances, exact."""
-    return Fraction(_vertex_pass(t)[3], 2)
+    return Fraction(_distance_sums(t)[3], 2)
 
 
 def schultz(t: Tree) -> int:
     """Degree distance: sum of d(u,v) * (deg(u) + deg(v)) over pairs."""
-    return _vertex_pass(t)[1]
+    return _distance_sums(t)[1]
 
 
 def gutman(t: Tree) -> int:
     """Sum of d(u,v) * deg(u) * deg(v) over unordered pairs."""
-    return _vertex_pass(t)[2]
+    return _distance_sums(t)[2]
 
 
 def hyper_wiener(t: Tree) -> int:
     """Sum of binom(1 + d(u,v), 2) over unordered pairs."""
-    return _hyper_wiener(_vertex_pass(t, sums=False)[0])
+    return _hyper_wiener(_distance_sums(t, sums=False)[0])
 
 
 def wiener_lambda(t: Tree, lam: float) -> float:
     """Sum of d(u,v)**lambda over unordered pairs; lambda must be finite and
     nonzero.  OverflowError when a power or the sum is not a finite float."""
-    return _wiener_lambda(_vertex_pass(t, sums=False)[0], lam)
+    return _wiener_lambda(_distance_sums(t, sums=False)[0], lam)
 
 
 @dataclass(frozen=True)
@@ -203,7 +317,7 @@ def invariant_report(t: Tree, lambdas: tuple[float, ...] = ()) -> InvariantRepor
     """
     n = t.n
     w = wiener(t)
-    counts, wp, wm, vertex_edge, we = _vertex_pass(t)
+    counts, wp, wm, vertex_edge, we = _distance_sums(t)
     wve = Fraction(vertex_edge, 2)
     wel = we + comb(len(t.edges), 2)
     residuals = {

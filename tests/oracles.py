@@ -3,7 +3,8 @@
 These deliberately avoid the production code paths they are checking:
 eccentricities by n separate BFS runs, Wiener by summing an explicit distance
 matrix, the other distance indices by all-pairs sums over explicit n x n and
-m x m distance matrices, subtree counts by subset connectivity, free-tree
+m x m distance matrices and by one BFS row per vertex, depth-histogram
+products term by term, subtree counts by subset connectivity, free-tree
 counts by labelled (Pruefer) enumeration plus canonical dedup, canonical codes
 by recursive AHU at the centers found from the brute-force eccentricities, the
 backbone by a walk over core degrees, and the rewrite move from separate
@@ -81,6 +82,49 @@ def schultz_bruteforce(t: Tree) -> int:
 def gutman_bruteforce(t: Tree) -> int:
     dm = distance_matrix(t)
     return sum(dm[u][v] * t.degree(u) * t.degree(v) for u, v in _vertex_pairs(t))
+
+
+def vertex_pass_rows(t: Tree, sums: bool = True) -> tuple[list[int], int, int, int, int]:
+    """The distance kernel's tuple from one BFS row per vertex: the number
+    of unordered pairs at each distance d (0 at d = 0) and, if sums, the
+    Schultz and Gutman indices, the sum of all vertex-to-edge distances and
+    the edge Wiener index.  Every pair is met from both ends.
+
+    The edge Wiener index comes from near(v), the sum over the edges (x, y)
+    of min(d(v, x), d(v, y)): the row of an edge (a, b) with sides A and B
+    is d(a, .) less one on B, so 4 W_e = sum of deg(v) * near(v) minus
+    (n - 1)(n - 2)."""
+    n = t.n
+    deg = t.degrees()
+    counts = [0] * n
+    schultz = gutman = vertex_edge = edge_ends = 0
+    for v in range(n):
+        row = distances_from(t, v)
+        for d in row:
+            counts[d] += 1
+        if sums:
+            schultz += deg[v] * sum(row)
+            gutman += deg[v] * sum([du * d for du, d in zip(deg, row)])
+            near = sum([row[a] if row[a] < row[b] else row[b] for a, b in t.edges])
+            vertex_edge += near
+            edge_ends += deg[v] * near
+    edge_wiener = (edge_ends - (n - 1) * (n - 2)) // 4 if sums else 0
+    return (
+        [0] + [c // 2 for c in counts[1:]],
+        schultz,
+        gutman // 2,
+        vertex_edge,
+        edge_wiener,
+    )
+
+
+def schoolbook_product(a: list[int], b: list[int]) -> list[int]:
+    """The product of two coefficient lists, term by term."""
+    out = [0] * (len(a) + len(b) - 1)
+    for i, x in enumerate(a):
+        for j, y in enumerate(b):
+            out[i + j] += x * y
+    return out
 
 
 def hyper_wiener_bruteforce(t: Tree) -> int:

@@ -14,9 +14,12 @@ from hypothesis import given, settings
 
 import ecctrees
 import ecctrees.invariants
+from ecctrees.enumeration import free_trees
 from ecctrees.extremal import CaterpillarSpec, build_caterpillar
 from ecctrees.invariants import (
     InvariantReport,
+    _distance_sums,
+    _kronecker_product,
     edge_wiener,
     edge_wiener_line,
     gutman,
@@ -29,7 +32,7 @@ from ecctrees.invariants import (
     wiener_lambda,
     wiener_pairwise,
 )
-from ecctrees.tree import Tree
+from ecctrees.tree import Tree, tree_from_pruefer
 
 from .conftest import random_trees, seeded_random_trees
 from .oracles import (
@@ -37,9 +40,11 @@ from .oracles import (
     edge_wiener_line_bruteforce,
     gutman_bruteforce,
     hyper_wiener_bruteforce,
+    schoolbook_product,
     schultz_bruteforce,
     subtree_count_bruteforce,
     vertex_edge_wiener_bruteforce,
+    vertex_pass_rows,
     wiener_bruteforce,
     wiener_lambda_bruteforce,
 )
@@ -51,6 +56,17 @@ def path(n):
 
 def star(n):
     return Tree(n, tuple((0, i) for i in range(1, n)))
+
+
+def spider(n, legs=3):
+    """legs paths of near-equal length hung on vertex 0."""
+    return Tree(n, tuple((max(i - legs, 0), i) for i in range(1, n)))
+
+
+def broom(n):
+    """A path on about half the vertices, the rest leaves on its last one."""
+    handle = (n + 1) // 2
+    return Tree(n, tuple((min(i, handle) - 1, i) for i in range(1, n)))
 
 
 class TestWiener:
@@ -220,25 +236,74 @@ class TestDistanceKernel:
                 assert math.isclose(wiener_lambda(t, lam), expected, rel_tol=1e-12)
                 assert math.isclose(report.wiener_lambda[lam], expected, rel_tol=1e-12)
 
+    def test_matches_row_kernel(self):
+        """The centroid kernel's whole tuple equals one BFS row per vertex."""
+        trees = [t for n in range(1, 12) for t in free_trees(n)]
+        trees += seeded_random_trees(300, max_n=300, seed=13)
+        trees += [
+            family(n)
+            for family in (path, star, spider, broom)
+            for n in (1, 2, 3, 50, 301)
+        ]
+        for t in trees:
+            for sums in (True, False):
+                assert _distance_sums(t, sums) == vertex_pass_rows(t, sums), (t, sums)
+
     @pytest.mark.parametrize(
         "t",
         [Tree(1, ()), path(2), path(9), star(9), seeded_random_trees(1, 60, seed=3)[0]],
         ids=["n1", "n2", "path", "star", "random"],
     )
-    def test_one_bfs_row_per_vertex(self, t, monkeypatch):
-        calls = []
-        kernel = ecctrees.invariants.distances_from
+    def test_no_bfs_rows(self, t, monkeypatch):
+        """No index takes a distances_from row, and each still returns the
+        all-pairs oracle's value."""
+        expected = [
+            edge_wiener_bruteforce(t),
+            hyper_wiener_bruteforce(t),
+            {lam: wiener_lambda_bruteforce(t, lam) for lam in (1, 2)},
+        ]
 
-        def counted(tree, v):
-            calls.append(v)
-            return kernel(tree, v)
+        def refuse(tree, v):
+            raise AssertionError("a BFS row was taken")
 
-        monkeypatch.setattr(ecctrees.invariants, "distances_from", counted)
-        invariant_report(t, (1, 2))
-        assert len(calls) == t.n
-        calls.clear()
-        edge_wiener(t)
-        assert len(calls) == t.n
+        monkeypatch.setattr(ecctrees.invariants, "distances_from", refuse)
+        report = invariant_report(t, (1, 2))
+        assert [report.edge_wiener, report.hyper_wiener, report.wiener_lambda] == expected
+        assert [
+            edge_wiener(t),
+            hyper_wiener(t),
+            {lam: wiener_lambda(t, lam) for lam in (1, 2)},
+        ] == expected
+
+    def test_closed_forms_at_scale(self):
+        """Distance histograms of a path and a star by their closed forms,
+        and zero residuals on 20 000 vertices."""
+        n = 20_000
+        p, s = path(n), star(n)
+        rng = random.Random(17)
+        pruefer = tree_from_pruefer([rng.randrange(n) for _ in range(n - 2)], n)
+        assert _distance_sums(p, sums=False)[0] == [0] + [n - d for d in range(1, n)]
+        assert _distance_sums(s, sums=False)[0] == [0, n - 1, comb(n - 1, 2)] + [0] * (n - 3)
+        assert wiener(p) == comb(n + 1, 3)
+        assert wiener(s) == (n - 1) ** 2
+        for t in (p, s, pruefer):
+            assert set(invariant_report(t).relation_residuals.values()) == {0}
+
+    def test_kronecker_matches_schoolbook(self):
+        """Slots of exactly the width sum(a) * sum(b) needs: entries at
+        2^k - 1 and single-slot lists fill them to the last byte."""
+        rng = random.Random(21)
+        cases = [([2**k - 1], [1]) for k in range(1, 80)]
+        cases += [([2**k - 1], [2**j - 1]) for k in (1, 8, 16, 33) for j in (1, 8, 24)]
+        for length in range(1, 301):
+            other = rng.randint(1, 300)
+            top = 2 ** rng.choice((1, 8, 16, 31, 64)) - 1
+            a = [rng.choice((0, 1, top)) for _ in range(length)]
+            b = [rng.choice((1, top, rng.randrange(top + 1))) for _ in range(other)]
+            a[rng.randrange(length)] = top
+            cases.append((a, b))
+        for a, b in cases:
+            assert _kronecker_product(a, b) == schoolbook_product(a, b), (a, b)
 
     def test_edge_wiener_relabelling_invariant(self):
         rng = random.Random(5)
