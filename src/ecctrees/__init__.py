@@ -49,7 +49,6 @@ from .invariants import (
     vertex_edge_wiener,
     wiener,
     wiener_lambda,
-    wiener_pairwise,
 )
 from .rewrite import RewriteMove, apply_move, caterpillarize, find_move
 from .enumeration import (

@@ -1,8 +1,8 @@
 """Command-line front end.
 
-Exit codes: 0 success, 1 usage error, 2 domain-negative result (invalid
-sequence, failed verification), 3 internal assertion failure or any other
-unexpected error.
+Exit codes: 0 success, 1 usage error or an input past a limit, 2
+domain-negative result (invalid sequence, failed verification), 3 internal
+assertion failure or any other unexpected error.
 """
 
 from __future__ import annotations
@@ -28,6 +28,9 @@ EXIT_OK = 0
 EXIT_USAGE = 1
 EXIT_DOMAIN = 2
 EXIT_INTERNAL = 3
+
+# extremal exits 1, before it builds anything, above this order
+EXTREMAL_MAX_N = 2**20
 
 
 class UsageError(Exception):
@@ -125,6 +128,10 @@ def cmd_extremal(args) -> int:
     s = parse_sequence(args.sequence)
     if not validate_tree_sequence(s):
         return cmd_validate(args)
+    if s.n > EXTREMAL_MAX_N:
+        raise BudgetExceededError(
+            f"sequence order {s.n} exceeds the extremal order cap {EXTREMAL_MAX_N}"
+        )
     t = extremal_tree(s)
     w = min_wiener_derivation(s)
     nsub = max_subtrees_value(s)

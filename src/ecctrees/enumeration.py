@@ -20,11 +20,12 @@ from .extremal import (
 from .invariants import (
     _distance_sums,
     _hyper_wiener,
+    _subtrees_rooted,
     _wiener_lambda,
+    _wiener_rooted,
     count_text,
     subtree_count,
     wiener,
-    wiener_pairwise,
 )
 from .sequence import (
     EccSequence,
@@ -32,7 +33,7 @@ from .sequence import (
     require_valid,
     validate_tree_sequence,
 )
-from .tree import Tree, canonical_code, tree_to_text
+from .tree import Tree, _bfs_order, canonical_code, tree_to_text
 
 LAMBDA_TOL = 1e-9  # relative tolerance for lambda-Wiener minimiser ties
 DEFAULT_BUDGET = 12
@@ -214,8 +215,9 @@ class ExtremalityReport:
 def _extremality_report(s: EccSequence, trees: list[Tree]) -> ExtremalityReport:
     """Check the construction against trees, the realizers of s in
     canonical-code order, so the achievers come out in that order too."""
-    ws = [wiener(t) for t in trees]
-    nsubs = [subtree_count(t) for t in trees]
+    rooted = [_bfs_order(t, 0) for t in trees]
+    ws = [_wiener_rooted(order, parent) for order, parent in rooted]
+    nsubs = [_subtrees_rooted(order, parent) for order, parent in rooted]
     min_w = min(ws)
     max_nsub = max(nsubs)
     min_achievers = tuple(
@@ -360,8 +362,9 @@ class AuditReport:
 
 
 def audit_formulas(max_n: int) -> AuditReport:
-    """Compare printed theorem formulas against brute-force oracles for every
-    valid sequence up to max_n.
+    """Compare printed theorem formulas against oracles for every valid
+    sequence up to max_n: wiener (edge contributions, independent of the
+    derivation's layer sums) and subtree_count, on the extremal tree.
 
     The derivation-based Wiener formula and the subtree decomposition are hard
     requirements: a mismatch with the oracle raises.  The printed formulas are
@@ -370,7 +373,7 @@ def audit_formulas(max_n: int) -> AuditReport:
     rows = []
     for s in valid_sequences(max_n):
         t = extremal_tree(s)
-        oracle_w = wiener_pairwise(t)
+        oracle_w = wiener(t)
         derivation_w = min_wiener_derivation(s)
         if derivation_w != oracle_w:
             raise AssertionError(

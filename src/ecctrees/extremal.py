@@ -111,23 +111,6 @@ def spec_decomposition(spec: CaterpillarSpec) -> CaterpillarDecomposition:
     return CaterpillarDecomposition(tuple(c))
 
 
-def decomposition_of(t: Tree) -> CaterpillarDecomposition:
-    """Decomposition of an arbitrary caterpillar, oriented deterministically
-    so that the lexicographically larger pendant-count vector comes first."""
-    from .tree import backbone
-
-    bb = backbone(t)
-    if not bb.is_caterpillar:
-        raise ValueError("tree is not a caterpillar")
-    if not bb.path:
-        # single edge: no backbone; represent as one position holding both ends
-        return CaterpillarDecomposition((2,))
-    c = tuple(
-        sum(1 for w in t.adjacency[v] if t.degree(w) == 1) for v in bb.path
-    )
-    return CaterpillarDecomposition(max(c, c[::-1]))
-
-
 def extremal_spec(s: EccSequence) -> CaterpillarSpec:
     q, t = sequence_of_extremal_params(s)
     return CaterpillarSpec(q, t)

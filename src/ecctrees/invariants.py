@@ -22,28 +22,40 @@ from decimal import Decimal
 from fractions import Fraction
 from math import comb, isfinite
 
-from .tree import Tree, _bfs_order, distances_from
+from .tree import Tree, _bfs_order
+
+
+def _subtree_sizes(order, parent, size) -> None:
+    """size[v] = the size of v's subtree, for each v of a rooted order (each
+    vertex after its parent) with parent array parent."""
+    for v in order:
+        size[v] = 1
+    for v in order[:0:-1]:
+        size[parent[v]] += size[v]
+
+
+def _wiener_rooted(order, parent) -> int:
+    """The Wiener index from a rooted order and its parent array: the edge
+    from v to its parent lies on size(v) * (n - size(v)) shortest paths."""
+    n = len(parent)
+    size = [0] * n
+    _subtree_sizes(order, parent, size)
+    return sum(size[v] * (n - size[v]) for v in order[1:])
+
+
+def _subtrees_rooted(order, parent) -> int:
+    """The subtree count from a rooted order and its parent array: f(v) =
+    prod over children (1 + f(child)) counts the subtrees whose vertex
+    closest to the root is v, so their sum is the count."""
+    f = [1] * len(parent)
+    for v in order[:0:-1]:
+        f[parent[v]] *= 1 + f[v]
+    return sum(f)
 
 
 def wiener(t: Tree) -> int:
-    """Sum of distances over unordered vertex pairs, by edge contributions.
-
-    Each edge separates the tree into parts of sizes s and n-s and lies on
-    exactly s*(n-s) shortest paths.
-    """
-    order, parent = _bfs_order(t, 0)
-    size = [1] * t.n
-    for v in reversed(order[1:]):
-        size[parent[v]] += size[v]
-    return sum(size[v] * (t.n - size[v]) for v in order[1:])
-
-
-def wiener_pairwise(t: Tree) -> int:
-    """Independent Wiener computation: all-pairs BFS, summed. Test oracle."""
-    total = 0
-    for v in range(t.n):
-        total += sum(distances_from(t, v))
-    return total // 2
+    """Sum of distances over unordered vertex pairs (see _wiener_rooted)."""
+    return _wiener_rooted(*_bfs_order(t, 0))
 
 
 def count_text(count: int) -> str:
@@ -56,17 +68,8 @@ def count_text(count: int) -> str:
 
 
 def subtree_count(t: Tree) -> int:
-    """Number of subtrees (connected subgraphs with >= 1 vertex), exact.
-
-    Rooted DP: f(v) = prod over children (1 + f(child)) counts the subtrees
-    containing v inside v's rooted subtree; summing f over all vertices counts
-    each subtree once, at its vertex closest to the root.
-    """
-    order, parent = _bfs_order(t, 0)
-    f = [1] * t.n
-    for v in reversed(order[1:]):
-        f[parent[v]] *= 1 + f[v]
-    return sum(f)
+    """Number of subtrees (connected subgraphs with >= 1 vertex), exact."""
+    return _subtrees_rooted(*_bfs_order(t, 0))
 
 
 # Below this many coefficient products a schoolbook convolution beats one
@@ -96,10 +99,7 @@ def _centroid(adjacency, removed, parent, size, order: list[int]) -> int:
     """The centroid of a component, given its BFS order from order[0] and
     each vertex's parent in it: walk down from order[0] into the child
     holding more than half of the component, while there is one."""
-    for v in order:
-        size[v] = 1
-    for v in order[:0:-1]:
-        size[parent[v]] += size[v]
+    _subtree_sizes(order, parent, size)
     half = len(order) // 2
     v = order[0]
     while True:

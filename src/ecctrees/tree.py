@@ -180,8 +180,8 @@ def distances_from(t: Tree, v: int) -> list[int]:
     return dist
 
 
-def _longest_path(t: Tree) -> tuple[list[int], int]:
-    """d(u, .) and v for the tree's canonical longest path u..v.
+def _diametral_path(t: Tree) -> tuple[int, ...]:
+    """The canonical longest path u..v, walked back from v along d(u, .).
 
     u is the lowest-id vertex farthest from 0 and v the lowest-id vertex
     farthest from u (lowest ids for reproducibility); in a tree, u and v
@@ -189,13 +189,7 @@ def _longest_path(t: Tree) -> tuple[list[int], int]:
     """
     d0 = distances_from(t, 0)
     du = distances_from(t, d0.index(max(d0)))
-    return du, du.index(max(du))
-
-
-def _diametral_path(t: Tree) -> tuple[int, ...]:
-    """The canonical longest path u..v, walked back from v along d(u, .)."""
-    du, v = _longest_path(t)
-    path = [v]
+    path = [du.index(max(du))]
     while du[path[-1]]:
         x = path[-1]
         # in a tree exactly one neighbour of x is closer to u
@@ -204,15 +198,33 @@ def _diametral_path(t: Tree) -> tuple[int, ...]:
     return tuple(path)
 
 
-def eccentricities(t: Tree) -> list[int]:
-    """Per-vertex eccentricity from the ends u, v of the canonical longest path.
+def _ecc_rooted(order, parent) -> list[int]:
+    """Per-vertex eccentricity of the tree given as a rooted order (each
+    vertex after its parent, order[0] the root) and its parent array:
+    ecc(v) = max(down(v), up(v)), with the two largest down-heights (equal
+    on a tie) from a reverse pass, then up(v) = 1 + max(up(p), p's longest
+    way down not through v) from a forward pass."""
+    n = len(parent)
+    down = [0] * n
+    down2 = [0] * n
+    for v in order[:0:-1]:
+        p = parent[v]
+        h = down[v] + 1
+        if h > down[p]:
+            down[p], down2[p] = h, down[p]
+        elif h > down2[p]:
+            down2[p] = h
+    up = [0] * n
+    for v in order[1:]:
+        p = parent[v]
+        side = down2[p] if down[v] + 1 == down[p] else down[p]
+        up[v] = 1 + (up[p] if up[p] > side else side)
+    return [d if d > u else u for d, u in zip(down, up)]
 
-    Every eccentricity is max(d(u,w), d(w,v)), so besides the BFS from 0
-    that finds u, one BFS from each end suffices.
-    """
-    du, v = _longest_path(t)
-    dv = distances_from(t, v)
-    return [max(a, b) for a, b in zip(du, dv)]
+
+def eccentricities(t: Tree) -> list[int]:
+    """Per-vertex eccentricity, by heights over one BFS order from 0."""
+    return _ecc_rooted(*_bfs_order(t, 0))
 
 
 def backbone(t: Tree) -> Backbone:
@@ -279,11 +291,6 @@ def canonical_code(t: Tree) -> bytes:
     a, b = layer
     code_a, code_b = _ahu(kids[a]), _ahu(kids[b])
     return min(_ahu(kids[a] + [code_b]), _ahu(kids[b] + [code_a]))
-
-
-def relabel(t: Tree, perm: list[int] | tuple[int, ...]) -> Tree:
-    """Apply a vertex permutation (perm[old] = new). Isomorphic result."""
-    return Tree(t.n, tuple((perm[u], perm[v]) for u, v in t.edges))
 
 
 def tree_from_pruefer(seq: tuple[int, ...], n: int | None = None) -> Tree:

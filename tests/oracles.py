@@ -9,6 +9,9 @@ counts by labelled (Pruefer) enumeration plus canonical dedup, canonical codes
 by recursive AHU at the centers found from the brute-force eccentricities, the
 backbone by a walk over core degrees, and the rewrite move from separate
 searches for the diametral path and for each side of the pivot.
+
+Two helpers only the tests use live here too: relabel, and decomposition_of,
+which reads a caterpillar's pendant counts off the production backbone.
 """
 
 from __future__ import annotations
@@ -18,10 +21,12 @@ from collections import deque
 from fractions import Fraction
 from math import comb
 
+from ecctrees.extremal import CaterpillarDecomposition
 from ecctrees.rewrite import RewriteMove
 from ecctrees.tree import (
     Backbone,
     Tree,
+    backbone,
     canonical_code,
     distances_from,
     tree_from_pruefer,
@@ -174,6 +179,26 @@ def canonical_code_recursive(t: Tree) -> bytes:
     ecc = ecc_bruteforce(t)
     radius = min(ecc)
     return min(code(c, -1) for c in range(t.n) if ecc[c] == radius)
+
+
+def relabel(t: Tree, perm: list[int] | tuple[int, ...]) -> Tree:
+    """Apply a vertex permutation (perm[old] = new). Isomorphic result."""
+    return Tree(t.n, tuple((perm[u], perm[v]) for u, v in t.edges))
+
+
+def decomposition_of(t: Tree) -> CaterpillarDecomposition:
+    """Decomposition of an arbitrary caterpillar, oriented deterministically
+    so that the lexicographically larger pendant-count vector comes first."""
+    bb = backbone(t)
+    if not bb.is_caterpillar:
+        raise ValueError("tree is not a caterpillar")
+    if not bb.path:
+        # single edge: no backbone; represent as one position holding both ends
+        return CaterpillarDecomposition((2,))
+    c = tuple(
+        sum(1 for w in t.adjacency[v] if t.degree(w) == 1) for v in bb.path
+    )
+    return CaterpillarDecomposition(max(c, c[::-1]))
 
 
 def labeled_trees(n: int):

@@ -36,13 +36,13 @@ from ecctrees.invariants import (
     subtree_count,
     vertex_edge_wiener,
     wiener,
-    wiener_pairwise,
 )
 from ecctrees.rewrite import apply_move, find_move
 from ecctrees.sequence import parse_sequence
 from ecctrees.tree import Tree, canonical_code, eccentricities, is_caterpillar
 
 from .conftest import seeded_random_trees
+from .oracles import wiener_bruteforce
 
 MAIN_RESULT_MAX_N = int(os.environ.get("ECCTREES_ACCEPTANCE_MAX_N", "12"))
 
@@ -77,7 +77,7 @@ def test_criterion_2_formulas_match_oracles():
     ok = True
     for s in valid_sequences(14):
         t = extremal_tree(s)
-        ok = ok and min_wiener_derivation(s) == wiener_pairwise(t)
+        ok = ok and min_wiener_derivation(s) == wiener_bruteforce(t)
         ok = ok and max_subtrees_value(s) == subtree_count(t)
     report("2 formula vs oracle (n <= 14)", ok)
 
@@ -87,7 +87,7 @@ def test_criterion_3_audit_findings():
     s7 = parse_sequence("2,3,3,4,4,4,4")
     s4 = parse_sequence("1,2,2,2")
     t7 = extremal_tree(s7)
-    ok = wiener_pairwise(t7) == 46
+    ok = wiener_bruteforce(t7) == 46
     ok = ok and min_wiener_printed(s7) == 44
     ok = ok and printed_wiener_delta(s7) == 2
     ok = ok and subtree_count(t7) == 41
@@ -139,7 +139,7 @@ def test_criterion_6_rewrite_monotonicity():
             ok = ok and not is_caterpillar(t)
             t2 = apply_move(t, m)
             ok = ok and sorted(eccentricities(t2)) == sorted(eccentricities(t))
-            drop = wiener_pairwise(t) - wiener_pairwise(t2)
+            drop = wiener_bruteforce(t) - wiener_bruteforce(t2)
             expected = len(m.detached) * (2 * len(m.right) - 2)
             ok = ok and drop == expected > 0
             ok = ok and subtree_count(t2) > subtree_count(t)
@@ -160,7 +160,7 @@ def test_criterion_7_order_diameter_remark():
             construction = min_wiener_order_diameter(n, d)
             code = canonical_code(construction)
             pool = by_diameter.get(d, [])
-            ws = [(canonical_code(t), wiener_pairwise(t)) for t in pool]
+            ws = [(canonical_code(t), wiener_bruteforce(t)) for t in pool]
             ns = [(canonical_code(t), subtree_count(t)) for t in pool]
             min_w = min(w for _, w in ws)
             max_n_sub = max(v for _, v in ns)

@@ -2,6 +2,7 @@ import json
 import os
 import subprocess
 import sys
+import time
 from decimal import Decimal
 from importlib import resources
 from pathlib import Path
@@ -10,6 +11,7 @@ import jsonschema
 import pytest
 
 import ecctrees
+from ecctrees import cli
 from ecctrees.cli import main
 
 SRC = str(Path(ecctrees.__file__).parents[1])
@@ -98,6 +100,28 @@ class TestExtremal:
     def test_invalid_sequence(self, capsys):
         code, _, _ = run(capsys, "extremal", "2,3,4,4")
         assert code == 2
+
+    @pytest.mark.parametrize("fmt", ["text", "json"])
+    def test_order_past_cap_exits_before_building(self, capsys, monkeypatch, fmt):
+        def build(s):
+            raise RuntimeError(f"built order {s.n}")
+
+        monkeypatch.setattr(cli, "extremal_tree", build)
+        huge = "1^1,2^1000000000000"
+        start = time.perf_counter()
+        code, out, err = run(capsys, "extremal", huge, "--format", fmt)
+        assert time.perf_counter() - start < 5
+        assert code == 1 and out == ""
+        assert err == (
+            "error: sequence order 1000000000001 exceeds the extremal order "
+            f"cap {cli.EXTREMAL_MAX_N}\n"
+        )
+        # one past the cap is refused; the cap itself reaches the build
+        m = cli.EXTREMAL_MAX_N - 1
+        assert run(capsys, "extremal", f"1^1,2^{m + 1}", "--format", fmt)[0] == 1
+        code, _, err = run(capsys, "extremal", f"1^1,2^{m}", "--format", fmt)
+        assert code == 3
+        assert err.endswith(f"built order {cli.EXTREMAL_MAX_N}\n")
 
 
 class TestInvariants:

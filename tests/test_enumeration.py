@@ -20,11 +20,11 @@ from ecctrees.enumeration import (
     verify_extremal,
 )
 from ecctrees.extremal import extremal_tree
-from ecctrees.invariants import subtree_count, wiener_pairwise
+from ecctrees.invariants import subtree_count
 from ecctrees.sequence import parse_sequence
 from ecctrees.tree import Tree, canonical_code, is_caterpillar
 
-from .oracles import free_tree_count_bruteforce
+from .oracles import free_tree_count_bruteforce, wiener_bruteforce
 
 
 def seq(text):
@@ -125,7 +125,7 @@ class TestVerifyExtremal:
             for t in trees_with_sequence(seq("2,3,3,4,4,4,4"))
             if canonical_code(t) not in report.min_wiener_achievers
         ]
-        assert wiener_pairwise(others[0]) == 48
+        assert wiener_bruteforce(others[0]) == 48
         assert subtree_count(others[0]) == 37
 
     @pytest.mark.parametrize("text", ["2,2,3,3", "1,2,2,2"])

@@ -6,7 +6,6 @@ from ecctrees.extremal import (
     CaterpillarSpec,
     build_caterpillar,
     caterpillar_subtree_closed_form,
-    decomposition_of,
     extremal_spec,
     extremal_tree,
     max_subtrees_printed,
@@ -17,11 +16,11 @@ from ecctrees.extremal import (
     printed_wiener_delta,
     spec_decomposition,
 )
-from ecctrees.invariants import subtree_count, wiener_pairwise
+from ecctrees.invariants import subtree_count
 from ecctrees.sequence import eccentric_sequence, parse_sequence
 from ecctrees.tree import canonical_code, eccentricities, is_caterpillar
 
-from .oracles import subtree_count_bruteforce
+from .oracles import decomposition_of, subtree_count_bruteforce, wiener_bruteforce
 
 
 def seq(text):
@@ -126,7 +125,7 @@ class TestWienerFormulas:
 
     def test_derivation_matches_oracle_up_to_14(self):
         for s in valid_sequences(14):
-            assert min_wiener_derivation(s) == wiener_pairwise(extremal_tree(s))
+            assert min_wiener_derivation(s) == wiener_bruteforce(extremal_tree(s))
 
     def test_printed_delta_identity(self):
         for s in valid_sequences(12):
@@ -200,7 +199,7 @@ class TestOrderDiameter:
         competitors = [
             u for u in free_trees(7) if max(eccentricities(u)) == 4
         ]
-        w = {canonical_code(u): wiener_pairwise(u) for u in competitors}
+        w = {canonical_code(u): wiener_bruteforce(u) for u in competitors}
         nsub = {canonical_code(u): subtree_count(u) for u in competitors}
         assert [c for c, v in w.items() if v == min(w.values())] == [code]
         assert [c for c, v in nsub.items() if v == max(nsub.values())] == [code]

@@ -14,12 +14,15 @@ from hypothesis import given, settings
 
 import ecctrees
 import ecctrees.invariants
-from ecctrees.enumeration import free_trees
+import ecctrees.tree
+from ecctrees.enumeration import _free_tree_edges, free_trees
 from ecctrees.extremal import CaterpillarSpec, build_caterpillar
 from ecctrees.invariants import (
     InvariantReport,
     _distance_sums,
     _kronecker_product,
+    _subtrees_rooted,
+    _wiener_rooted,
     edge_wiener,
     edge_wiener_line,
     gutman,
@@ -30,9 +33,8 @@ from ecctrees.invariants import (
     vertex_edge_wiener,
     wiener,
     wiener_lambda,
-    wiener_pairwise,
 )
-from ecctrees.tree import Tree, tree_from_pruefer
+from ecctrees.tree import Tree, _ecc_rooted, eccentricities, tree_from_pruefer
 
 from .conftest import random_trees, seeded_random_trees
 from .oracles import (
@@ -82,7 +84,7 @@ class TestWiener:
     @settings(max_examples=150, deadline=None)
     @given(random_trees(max_n=30))
     def test_edge_contribution_matches_bfs(self, t):
-        assert wiener(t) == wiener_pairwise(t) == wiener_bruteforce(t)
+        assert wiener(t) == wiener_bruteforce(t)
 
 
 class TestSubtreeCount:
@@ -101,6 +103,21 @@ class TestSubtreeCount:
         for n, trees in small_free_trees.items():
             for t in trees:
                 assert subtree_count(t) == subtree_count_bruteforce(t)
+
+
+class TestRootedKernels:
+    @pytest.mark.parametrize("n", range(1, 13))
+    def test_level_sequence_preorder_matches_tree_functions(self, n):
+        """Each kernel fed a level sequence's preorder (range(n), each
+        vertex after its parent, but not a BFS order) and its parent array
+        agrees with the public function on the built Tree."""
+        for edges in _free_tree_edges(n):
+            order = range(n)
+            parent = [0] + [p for p, _ in edges]
+            t = Tree(n, edges)
+            assert _ecc_rooted(order, parent) == eccentricities(t)
+            assert _wiener_rooted(order, parent) == wiener(t)
+            assert _subtrees_rooted(order, parent) == subtree_count(t)
 
 
 class TestEdgeWiener:
@@ -255,8 +272,9 @@ class TestDistanceKernel:
         ids=["n1", "n2", "path", "star", "random"],
     )
     def test_no_bfs_rows(self, t, monkeypatch):
-        """No index takes a distances_from row, and each still returns the
-        all-pairs oracle's value."""
+        """No index takes a distances_from row, whether by its name in
+        ecctrees.tree or by an import of it into ecctrees.invariants, and
+        each still returns the all-pairs oracle's value."""
         expected = [
             edge_wiener_bruteforce(t),
             hyper_wiener_bruteforce(t),
@@ -266,7 +284,8 @@ class TestDistanceKernel:
         def refuse(tree, v):
             raise AssertionError("a BFS row was taken")
 
-        monkeypatch.setattr(ecctrees.invariants, "distances_from", refuse)
+        monkeypatch.setattr(ecctrees.tree, "distances_from", refuse)
+        monkeypatch.setattr(ecctrees.invariants, "distances_from", refuse, raising=False)
         report = invariant_report(t, (1, 2))
         assert [report.edge_wiener, report.hyper_wiener, report.wiener_lambda] == expected
         assert [

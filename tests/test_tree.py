@@ -8,6 +8,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+import ecctrees.tree
 from ecctrees.tree import (
     Tree,
     TreeError,
@@ -18,7 +19,6 @@ from ecctrees.tree import (
     eccentricities,
     is_caterpillar,
     parse_tree,
-    relabel,
     tree_from_pruefer,
     tree_to_text,
 )
@@ -31,6 +31,7 @@ from .oracles import (
     ecc_bruteforce,
     free_tree_count_bruteforce,
     labeled_trees,
+    relabel,
 )
 
 
@@ -159,8 +160,31 @@ class TestEccentricities:
 
     @settings(max_examples=150, deadline=None)
     @given(random_trees(max_n=40))
-    def test_two_bfs_matches_bruteforce(self, t):
+    def test_heights_match_bruteforce(self, t):
         assert eccentricities(t) == ecc_bruteforce(t)
+
+    @pytest.mark.parametrize(
+        "t",
+        [path(30), star(30), seeded_random_trees(1, max_n=60, min_n=60, seed=7)[0]],
+        ids=["path", "star", "random"],
+    )
+    def test_one_bfs_and_no_distance_rows(self, t, monkeypatch):
+        calls = {"_bfs_order": 0, "distances_from": 0}
+
+        def counted(name):
+            fn = getattr(ecctrees.tree, name)
+
+            def wrapper(*args, **kwargs):
+                calls[name] += 1
+                return fn(*args, **kwargs)
+
+            return wrapper
+
+        expected = ecc_bruteforce(t)
+        for name in calls:
+            monkeypatch.setattr(ecctrees.tree, name, counted(name))
+        assert eccentricities(t) == expected
+        assert calls == {"_bfs_order": 1, "distances_from": 0}
 
     @settings(max_examples=100, deadline=None)
     @given(random_trees(min_n=2, max_n=25))
