@@ -22,14 +22,13 @@ from .sequence import (
     ValidationResult,
     eccentric_sequence,
     parse_sequence,
-    sequence_of_extremal_params,
     validate_tree_sequence,
 )
 from .extremal import (
     CaterpillarDecomposition,
-    CaterpillarSpec,
     build_caterpillar,
     caterpillar_subtree_closed_form,
+    extremal_decomposition,
     extremal_tree,
     max_subtrees_printed,
     max_subtrees_value,

@@ -6,16 +6,18 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from fractions import Fraction
+from itertools import product
 
 from .extremal import (
+    CaterpillarDecomposition,
+    build_caterpillar,
     caterpillar_subtree_closed_form,
-    extremal_spec,
+    extremal_decomposition,
     extremal_tree,
     max_subtrees_printed_detail,
     min_wiener_derivation,
     min_wiener_printed,
     printed_wiener_delta,
-    spec_decomposition,
 )
 from .invariants import (
     _distance_sums,
@@ -263,41 +265,35 @@ def verify_all(max_n: int) -> list[ExtremalityReport]:
     ]
 
 
-def caterpillars_with_sequence(s: EccSequence) -> list[Tree]:
-    """All nonisomorphic caterpillars with eccentric sequence s, generated
-    directly from pendant distributions along the backbone."""
+def _caterpillar_vectors(s: EccSequence):
+    """Pendant vectors c, one per caterpillar with eccentric sequence s up
+    to isomorphism.  Pendants at positions j and q+1-j share an
+    eccentricity, so s fixes each pair sum |D_j|, and every split of the
+    pairs with c_1, c_q >= 1 realizes s.  Keeping c >= reversed(c) keeps
+    one of each mirror pair and puts c_1 >= c_q, so c_q is the end to check."""
     if not validate_tree_sequence(s):
-        return []
-    q = s.bl - 1
-    total = s.n - q  # pendants, path ends included
-    seen: dict[bytes, Tree] = {}
-    for c in _compositions(total, q, minimum=0):
-        if q == 1:
-            if c[0] < 2:
-                continue
-        elif c[0] < 1 or c[-1] < 1:
-            continue
-        t = _caterpillar_from_counts(c)
-        if eccentric_sequence(t) == s:
-            seen.setdefault(canonical_code(t), t)
-    return [seen[code] for code in sorted(seen)]
+        return
+    d = extremal_decomposition(s).d_sizes()
+    half = (s.bl - 1) // 2
+    for left in product(*(range(dj + 1) for dj in d[:half])):
+        c = left + d[half:] + tuple(d[j] - left[j] for j in reversed(range(half)))
+        if c[-1] and c >= c[::-1]:
+            yield c
 
 
-def _caterpillar_from_counts(c: tuple[int, ...]) -> Tree:
-    """Caterpillar with backbone 0..q-1 and c_i pendants at position i."""
-    q = len(c)
-    edges = [(i, i + 1) for i in range(q - 1)]
-    next_id = q
-    for pos, count in enumerate(c):
-        for _ in range(count):
-            edges.append((pos, next_id))
-            next_id += 1
-    return Tree(next_id, tuple(edges))
+def caterpillars_with_sequence(s: EccSequence) -> list[Tree]:
+    """All nonisomorphic caterpillars with eccentric sequence s, sorted by
+    canonical code, generated directly from their pendant vectors."""
+    trees = [
+        build_caterpillar(CaterpillarDecomposition(c)) for c in _caterpillar_vectors(s)
+    ]
+    trees.sort(key=canonical_code)
+    return trees
 
 
 def count_caterpillars(s: EccSequence) -> int:
     """Number of nonisomorphic caterpillars with eccentric sequence s."""
-    return len(caterpillars_with_sequence(s))
+    return sum(1 for _ in _caterpillar_vectors(s))
 
 
 @dataclass(frozen=True)
@@ -380,9 +376,7 @@ def audit_formulas(max_n: int) -> AuditReport:
                 f"derivation Wiener formula disagrees with oracle on {s.compact_str()}"
             )
         oracle_n = subtree_count(t)
-        decomposition_n = caterpillar_subtree_closed_form(
-            spec_decomposition(extremal_spec(s))
-        )
+        decomposition_n = caterpillar_subtree_closed_form(extremal_decomposition(s))
         if decomposition_n != oracle_n:
             raise AssertionError(
                 f"subtree decomposition disagrees with oracle on {s.compact_str()}"

@@ -13,44 +13,13 @@ from dataclasses import dataclass
 from fractions import Fraction
 from math import comb
 
-from .sequence import EccSequence, eccentric_sequence, require_valid, sequence_of_extremal_params
+from .sequence import EccSequence, eccentric_sequence, require_valid
 from .tree import Tree
 
 
 @dataclass(frozen=True)
-class CaterpillarSpec:
-    """Caterpillar from a path v_0..v_{q+1} with t_j extra pendants at v_j.
-
-    Pendants may only be attached at positions 1..r where r = ceil(q/2), i.e.
-    on one half of the path (middle position included for odd q).
-    """
-
-    q: int
-    t: tuple[int, ...]
-
-    def __post_init__(self):
-        if self.q < 1:
-            raise ValueError("path parameter q must be >= 1")
-        r = (self.q + 1) // 2
-        if len(self.t) != r:
-            raise ValueError(
-                f"expected {r} pendant counts for q={self.q}, got {len(self.t)}"
-            )
-        if any(tj < 0 for tj in self.t):
-            raise ValueError("pendant counts must be nonnegative")
-
-    @property
-    def r(self) -> int:
-        return (self.q + 1) // 2
-
-    @property
-    def order(self) -> int:
-        return self.q + 2 + sum(self.t)
-
-
-@dataclass(frozen=True)
 class CaterpillarDecomposition:
-    """Per-backbone-position pendant counts c_1..c_q of a caterpillar.
+    """A caterpillar as the pendant counts c_1..c_q of its backbone positions.
 
     c_i counts every pendant vertex hanging at backbone position i, including
     the two path-end pendants, so c_1 >= 1 and c_q >= 1 (both ends land on c_1
@@ -89,37 +58,38 @@ class CaterpillarDecomposition:
         return tuple(out)
 
 
-def build_caterpillar(spec: CaterpillarSpec) -> Tree:
-    """Construct the caterpillar: path vertices get ids 0..q+1 in order,
-    pendants are appended in position order starting at q+2."""
-    edges = [(i, i + 1) for i in range(spec.q + 1)]
-    next_id = spec.q + 2
-    for pos, count in enumerate(spec.t, start=1):
-        for _ in range(count):
-            edges.append((pos, next_id))
-            next_id += 1
+def build_caterpillar(dec: CaterpillarDecomposition) -> Tree:
+    """Construct the caterpillar: path vertices v_0..v_{q+1} get ids 0..q+1
+    in order, the other pendants are appended in position order from q+2."""
+    q = dec.q
+    edges = [(i, i + 1) for i in range(q + 1)]
+    next_id = q + 2
+    for pos, count in enumerate(dec.c, start=1):
+        extra = count - (pos == 1) - (pos == q)
+        edges.extend((pos, v) for v in range(next_id, next_id + extra))
+        next_id += extra
     return Tree(next_id, tuple(edges))
 
 
-def spec_decomposition(spec: CaterpillarSpec) -> CaterpillarDecomposition:
-    """Pendant counts per backbone position, path-end pendants included."""
-    c = [0] * spec.q
-    for pos, count in enumerate(spec.t, start=1):
-        c[pos - 1] += count
+def extremal_decomposition(s: EccSequence) -> CaterpillarDecomposition:
+    """Pendant counts of the extremal caterpillar for a valid sequence s.
+
+    q is diameter-1 and position j = 1..l-1 carries m_{l+1-j} - 2 pendants
+    besides the path ends: the largest multiplicity (minus 2) sits closest
+    to the path end, and the other half of the path carries only its end.
+    """
+    require_valid(s)
+    c = [m - 2 for m in reversed(s.mult[1:])]
+    c += [0] * (s.bl - 1 - len(c))
     c[0] += 1
     c[-1] += 1
     return CaterpillarDecomposition(tuple(c))
 
 
-def extremal_spec(s: EccSequence) -> CaterpillarSpec:
-    q, t = sequence_of_extremal_params(s)
-    return CaterpillarSpec(q, t)
-
-
 def extremal_tree(s: EccSequence) -> Tree:
     """The caterpillar that minimises W and maximises N over all trees with
     eccentric sequence s.  The sequence is re-checked after construction."""
-    tree = build_caterpillar(extremal_spec(s))
+    tree = build_caterpillar(extremal_decomposition(s))
     if eccentric_sequence(tree) != s:
         raise AssertionError(
             f"constructed tree does not realize {s.compact_str()}"
@@ -134,18 +104,18 @@ def min_wiener_derivation(s: EccSequence) -> int:
     Agrees exactly with the pairwise-distance value of the extremal tree.
     """
     require_valid(s)
-    mult = s.mult
-    l = s.l
     q = s.bl - 1
-    r = (q + 1) // 2
-    big_m = [mult[l - j] for j in range(1, r + 1)]  # M_j = m_{l+1-j}
     total = comb(q + 3, 3)
-    total += sum((mj - 2) * (mj - 3) for mj in big_m)
-    for i in range(r):
-        for j in range(i + 1, r):
-            total += (big_m[i] - 2) * (big_m[j] - 2) * (2 + (j + 1) - (i + 1))
-    for j in range(1, r + 1):
-        total += ((q + 2) + comb(j + 1, 2) + comb(q + 2 - j, 2)) * (big_m[j - 1] - 2)
+    # a_j = M_j - 2 with M_j = m_{l+1-j}; the cross-layer term
+    # sum_{i<j} a_i a_j (2 + j - i) runs on the sums of a_i and of i a_i
+    below = weighted = 0
+    for j, mj in enumerate(reversed(s.mult[1:]), start=1):
+        a = mj - 2
+        total += a * (a - 1)
+        total += a * ((2 + j) * below - weighted)
+        total += ((q + 2) + comb(j + 1, 2) + comb(q + 2 - j, 2)) * a
+        below += a
+        weighted += j * a
     return total
 
 
@@ -180,25 +150,22 @@ def printed_wiener_delta(s: EccSequence) -> int:
 def caterpillar_subtree_closed_form(dec: CaterpillarDecomposition) -> int:
     """Subtree count of a caterpillar from its pendant-count vector.
 
-    Backbone subpaths contribute q(q+1)/2, lone pendants contribute sum(c),
-    and each backbone subpath combined with a nonempty subset of the pendants
-    hanging off it contributes 2^(sum of its c values) - 1.
+    A subtree is a lone pendant, or a backbone subpath j..p with any subset
+    of the pendants hanging off it.  T_p, the count of the latter over all
+    j <= p, satisfies T_p = (T_{p-1} + 1) * 2^(c_p) with T_0 = 0.
     """
-    q = dec.q
-    c = dec.c
-    total = q * (q + 1) // 2 + sum(c)
-    for j in range(q):
-        running = 0
-        for p in range(j, q):
-            running += c[p]
-            total += (1 << running) - 1
+    total = sum(dec.c)
+    ending = 0
+    for cp in dec.c:
+        ending = (ending + 1) << cp
+        total += ending
     return total
 
 
 def max_subtrees_value(s: EccSequence) -> int:
     """Maximum subtree count over trees with sequence s (proof decomposition
     applied to the extremal caterpillar); agrees exactly with the DP."""
-    return caterpillar_subtree_closed_form(spec_decomposition(extremal_spec(s)))
+    return caterpillar_subtree_closed_form(extremal_decomposition(s))
 
 
 def max_subtrees_printed(s: EccSequence) -> Fraction:
@@ -254,7 +221,8 @@ def min_wiener_order_diameter(n: int, d: int) -> Tree:
     all extra pendants at the middle backbone position."""
     if not 1 < d <= n - 1:
         raise ValueError(f"need 1 < d <= n-1, got d={d}, n={n}")
-    q = d - 1
-    r = (q + 1) // 2
-    t = (0,) * (r - 1) + (n - d - 1,)
-    return build_caterpillar(CaterpillarSpec(q, t))
+    c = [0] * (d - 1)
+    c[(d - 2) // 2] = n - d - 1
+    c[0] += 1
+    c[-1] += 1
+    return build_caterpillar(CaterpillarDecomposition(tuple(c)))

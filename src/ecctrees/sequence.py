@@ -172,12 +172,3 @@ def require_valid(s: EccSequence) -> None:
     if not result:
         raise InvalidSequenceError(s, result)
 
-
-def sequence_of_extremal_params(s: EccSequence) -> tuple[int, tuple[int, ...]]:
-    """Parameters (q, t) of the extremal caterpillar for a valid sequence s.
-
-    q is diameter-1 and t_j = m_{l+1-j} - 2 for j = 1..l-1: the largest
-    multiplicity (minus 2) is attached closest to the path end.
-    """
-    require_valid(s)
-    return s.bl - 1, tuple(m - 2 for m in reversed(s.mult[1:]))

@@ -10,6 +10,10 @@ by recursive AHU at the centers found from the brute-force eccentricities, the
 backbone by a walk over core degrees, and the rewrite move from separate
 searches for the diametral path and for each side of the pivot.
 
+The caterpillars of a sequence come from filtering every composition of the
+pendants over the backbone, and the two caterpillar closed forms from their
+double loops over backbone intervals and over layer pairs.
+
 Two helpers only the tests use live here too: relabel, and decomposition_of,
 which reads a caterpillar's pendant counts off the production backbone.
 """
@@ -23,6 +27,7 @@ from math import comb
 
 from ecctrees.extremal import CaterpillarDecomposition
 from ecctrees.rewrite import RewriteMove
+from ecctrees.sequence import EccSequence, eccentric_sequence
 from ecctrees.tree import (
     Backbone,
     Tree,
@@ -199,6 +204,59 @@ def decomposition_of(t: Tree) -> CaterpillarDecomposition:
         sum(1 for w in t.adjacency[v] if t.degree(w) == 1) for v in bb.path
     )
     return CaterpillarDecomposition(max(c, c[::-1]))
+
+
+def caterpillars_by_filter(s: EccSequence) -> list[Tree]:
+    """Caterpillars with sequence s, one per canonical code and sorted by
+    it: every composition of the n - q pendants over a backbone 0..q-1 that
+    puts a path end on each backbone end, kept if it realizes s."""
+    q = s.bl - 1
+    pendants = s.n - q
+    seen: dict[bytes, Tree] = {}
+    for bars in itertools.combinations(range(pendants + q - 1), q - 1):
+        cuts = (-1,) + bars + (pendants + q - 1,)
+        c = [b - a - 1 for a, b in zip(cuts, cuts[1:])]
+        if (c[0] < 2) if q == 1 else (c[0] < 1 or c[-1] < 1):
+            continue
+        edges = [(i, i + 1) for i in range(q - 1)]
+        leaves = itertools.count(q)
+        edges += [(pos, next(leaves)) for pos, k in enumerate(c) for _ in range(k)]
+        t = Tree(s.n, tuple(edges))
+        if eccentric_sequence(t) == s:
+            seen.setdefault(canonical_code(t), t)
+    return [seen[code] for code in sorted(seen)]
+
+
+def subtree_closed_form_double_loop(c: tuple[int, ...]) -> int:
+    """Caterpillar subtree count term by term: q(q+1)/2 backbone subpaths,
+    sum(c) lone pendants, and 2^(sum of c over j..p) - 1 for each backbone
+    subpath j..p with a nonempty set of its pendants."""
+    q = len(c)
+    total = q * (q + 1) // 2 + sum(c)
+    for j in range(q):
+        running = 0
+        for p in range(j, q):
+            running += c[p]
+            total += (1 << running) - 1
+    return total
+
+
+def min_wiener_derivation_double_loop(s: EccSequence) -> int:
+    """The proof's minimum Wiener index with its cross-layer term summed
+    over every pair of layers i < j."""
+    mult = s.mult
+    l = s.l
+    q = s.bl - 1
+    r = (q + 1) // 2
+    big_m = [mult[l - j] for j in range(1, r + 1)]  # M_j = m_{l+1-j}
+    total = comb(q + 3, 3)
+    total += sum((mj - 2) * (mj - 3) for mj in big_m)
+    for i in range(r):
+        for j in range(i + 1, r):
+            total += (big_m[i] - 2) * (big_m[j] - 2) * (2 + (j + 1) - (i + 1))
+    for j in range(1, r + 1):
+        total += ((q + 2) + comb(j + 1, 2) + comb(q + 2 - j, 2)) * (big_m[j - 1] - 2)
+    return total
 
 
 def labeled_trees(n: int):

@@ -21,10 +21,14 @@ from ecctrees.enumeration import (
 )
 from ecctrees.extremal import extremal_tree
 from ecctrees.invariants import subtree_count
-from ecctrees.sequence import parse_sequence
+from ecctrees.sequence import eccentric_sequence, parse_sequence
 from ecctrees.tree import Tree, canonical_code, is_caterpillar
 
-from .oracles import free_tree_count_bruteforce, wiener_bruteforce
+from .oracles import (
+    caterpillars_by_filter,
+    free_tree_count_bruteforce,
+    wiener_bruteforce,
+)
 
 
 def seq(text):
@@ -176,6 +180,27 @@ class TestCaterpillarCounting:
                 canonical_code(t) for t in caterpillars_with_sequence(s)
             }
             assert from_filter == from_generator
+
+    def test_matches_composition_filter_up_to_12(self):
+        for s in valid_sequences(12):
+            generated = caterpillars_with_sequence(s)
+            assert [canonical_code(t) for t in generated] == [
+                canonical_code(t) for t in caterpillars_by_filter(s)
+            ]
+            assert all(eccentric_sequence(t) == s for t in generated)
+
+    def test_harary_schwenk_totals(self):
+        # Harary & Schwenk (1973): n >= 4 vertices carry
+        # 2^(n-4) + 2^(floor(n/2)-2) caterpillars
+        totals = dict.fromkeys(range(4, 21), 0)
+        for s in valid_sequences(20, min_n=4):
+            totals[s.n] += count_caterpillars(s)
+        assert totals == {n: 2 ** (n - 4) + 2 ** (n // 2 - 2) for n in range(4, 21)}
+
+    def test_invalid_sequence_has_none(self):
+        s = seq("2,3,4,4")
+        assert caterpillars_with_sequence(s) == []
+        assert count_caterpillars(s) == 0
 
 
 class TestAudit:

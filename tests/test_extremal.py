@@ -1,12 +1,13 @@
+import random
+
 import pytest
 
 from ecctrees.enumeration import free_trees, valid_sequences
 from ecctrees.extremal import (
     CaterpillarDecomposition,
-    CaterpillarSpec,
     build_caterpillar,
     caterpillar_subtree_closed_form,
-    extremal_spec,
+    extremal_decomposition,
     extremal_tree,
     max_subtrees_printed,
     max_subtrees_value,
@@ -14,42 +15,116 @@ from ecctrees.extremal import (
     min_wiener_order_diameter,
     min_wiener_printed,
     printed_wiener_delta,
-    spec_decomposition,
 )
 from ecctrees.invariants import subtree_count
-from ecctrees.sequence import eccentric_sequence, parse_sequence
+from ecctrees.sequence import (
+    EccSequence,
+    InvalidSequenceError,
+    eccentric_sequence,
+    parse_sequence,
+)
 from ecctrees.tree import canonical_code, eccentricities, is_caterpillar
 
-from .oracles import decomposition_of, subtree_count_bruteforce, wiener_bruteforce
+from .oracles import (
+    decomposition_of,
+    min_wiener_derivation_double_loop,
+    subtree_closed_form_double_loop,
+    subtree_count_bruteforce,
+    wiener_bruteforce,
+)
 
 
 def seq(text):
     return parse_sequence(text)
 
 
+def random_pendant_vectors(seed, per_q=12, max_q=8):
+    """Seeded valid pendant vectors, per_q of each q = 1..max_q."""
+    rng = random.Random(seed)
+    for q in range(1, max_q + 1):
+        for _ in range(per_q):
+            c = [rng.randint(0, 4) for _ in range(q)]
+            if q == 1:
+                c[0] = rng.randint(2, 6)
+            else:
+                c[0] = rng.randint(1, 4)
+                c[-1] = rng.randint(1, 4)
+            yield tuple(c)
+
+
+def random_valid_sequences(seed, count=40):
+    """Seeded valid sequences with up to 60 distinct values."""
+    rng = random.Random(seed)
+    for _ in range(count):
+        m1 = rng.choice((1, 2))
+        l = rng.randint(2, 60)
+        b1 = l - 1 if m1 == 1 else l
+        yield EccSequence(b1, [m1] + [rng.randint(2, 9) for _ in range(l - 1)])
+
+
 class TestBuildCaterpillar:
     def test_star(self):
-        t = build_caterpillar(CaterpillarSpec(1, (1,)))
+        t = build_caterpillar(CaterpillarDecomposition((3,)))
         assert t.n == 4
         assert sorted(t.degrees()) == [1, 1, 1, 3]
 
     def test_path(self):
-        t = build_caterpillar(CaterpillarSpec(3, (0, 0)))
+        t = build_caterpillar(CaterpillarDecomposition((1, 0, 1)))
         assert t.edges == ((0, 1), (1, 2), (2, 3), (3, 4))
 
     def test_sequence_of_example(self):
-        t = build_caterpillar(CaterpillarSpec(3, (2, 0)))
+        t = build_caterpillar(CaterpillarDecomposition((3, 0, 1)))
         assert sorted(eccentricities(t)) == [2, 3, 3, 4, 4, 4, 4]
-
-    def test_r_mismatch_rejected(self):
-        with pytest.raises(ValueError):
-            CaterpillarSpec(3, (1,))
 
     def test_always_caterpillar(self):
         for q in range(1, 6):
             r = (q + 1) // 2
-            t = build_caterpillar(CaterpillarSpec(q, (2,) * r))
+            c = [2] * r + [0] * (q - r)
+            c[0] += 1
+            c[-1] += 1
+            t = build_caterpillar(CaterpillarDecomposition(tuple(c)))
             assert is_caterpillar(t)
+
+    def test_random_vectors(self):
+        for c in random_pendant_vectors(seed=12):
+            dec = CaterpillarDecomposition(c)
+            t = build_caterpillar(dec)
+            assert t.n == dec.order
+            assert is_caterpillar(t)
+            assert decomposition_of(t).c == max(c, c[::-1])
+            assert caterpillar_subtree_closed_form(dec) == subtree_count(t)
+
+
+class TestExtremalParams:
+    @pytest.mark.parametrize(
+        "text,c",
+        [
+            ("1,2,2,2", (3,)),
+            ("2,3,3,4,4,4,4", (3, 0, 1)),
+            ("3,4,4,5,5,5,6,6,6,6", (3, 1, 0, 0, 1)),
+        ],
+    )
+    def test_examples(self, text, c):
+        assert extremal_decomposition(seq(text)).c == c
+
+    def test_invalid_rejected(self):
+        with pytest.raises(InvalidSequenceError):
+            extremal_decomposition(seq("2,3,4,4"))
+
+    def test_compact_constraints_for_all_valid(self):
+        for s in valid_sequences(12):
+            dec = extremal_decomposition(s)
+            assert dec.q == s.bl - 1
+            assert dec.order == s.n
+            assert len(dec.d_sizes()) == s.l - 1
+            if dec.q > 1:
+                # past the first half only the far path end is left
+                assert dec.c[s.l - 1 :] == (0,) * (dec.q - s.l) + (1,)
+            assert s.mult[0] in (1, 2)
+            if s.mult[0] == 1:
+                assert s.bl == 2 * s.b1
+            else:
+                assert s.bl == 2 * s.b1 - 1
 
 
 class TestExtremalTree:
@@ -79,10 +154,6 @@ class TestExtremalTree:
 
     def test_sequence_roundtrip_sampled_up_to_40(self):
         # exhaustive beyond ~16 is combinatorially explosive; fixed sample
-        import random
-
-        from ecctrees.sequence import EccSequence
-
         rng = random.Random(0)
         for n in range(17, 41):
             for _ in range(20):
@@ -127,6 +198,12 @@ class TestWienerFormulas:
         for s in valid_sequences(14):
             assert min_wiener_derivation(s) == wiener_bruteforce(extremal_tree(s))
 
+    def test_derivation_matches_double_loop(self):
+        for s in valid_sequences(16):
+            assert min_wiener_derivation(s) == min_wiener_derivation_double_loop(s)
+        for s in random_valid_sequences(seed=7):
+            assert min_wiener_derivation(s) == min_wiener_derivation_double_loop(s)
+
     def test_printed_delta_identity(self):
         for s in valid_sequences(12):
             assert (
@@ -170,6 +247,14 @@ class TestSubtreeFormulas:
                     checked += 1
         assert checked > 50
 
+    def test_closed_form_matches_double_loop(self):
+        extremal = [extremal_decomposition(s) for s in valid_sequences(16)]
+        random_vectors = random_pendant_vectors(seed=5, per_q=20, max_q=40)
+        for dec in extremal + [CaterpillarDecomposition(c) for c in random_vectors]:
+            assert caterpillar_subtree_closed_form(dec) == subtree_closed_form_double_loop(
+                dec.c
+            )
+
     def test_closed_form_vs_subset_oracle(self):
         for text in ["1,2,2,2", "2,3,3,4,4,4,4", "2,3,3,4,4"]:
             s = seq(text)
@@ -212,13 +297,15 @@ class TestOrderDiameter:
 
 
 class TestDecomposition:
-    def test_spec_decomposition_places_ends(self):
-        dec = spec_decomposition(CaterpillarSpec(3, (2, 0)))
-        assert dec.c == (3, 0, 1)
+    def test_builder_places_ends(self):
+        t = build_caterpillar(CaterpillarDecomposition((3, 0, 1)))
+        assert t.edges == ((0, 1), (1, 2), (1, 5), (1, 6), (2, 3), (3, 4))
 
     def test_q1_both_ends(self):
-        dec = spec_decomposition(CaterpillarSpec(1, (1,)))
-        assert dec.c == (3,)
+        t = build_caterpillar(CaterpillarDecomposition((2,)))
+        assert t.edges == ((0, 1), (1, 2))
+        with pytest.raises(ValueError):
+            CaterpillarDecomposition((1,))
 
     def test_d_sizes(self):
         dec = CaterpillarDecomposition((3, 1, 0, 0, 1))

@@ -16,7 +16,7 @@ import ecctrees
 import ecctrees.invariants
 import ecctrees.tree
 from ecctrees.enumeration import _free_tree_edges, free_trees
-from ecctrees.extremal import CaterpillarSpec, build_caterpillar
+from ecctrees.extremal import CaterpillarDecomposition, build_caterpillar
 from ecctrees.invariants import (
     InvariantReport,
     _distance_sums,
@@ -79,7 +79,7 @@ class TestWiener:
         assert wiener(star(4)) == 9
 
     def test_big_caterpillar(self):
-        assert wiener(build_caterpillar(CaterpillarSpec(5, (2, 1, 0)))) == 130
+        assert wiener(build_caterpillar(CaterpillarDecomposition((3, 1, 0, 0, 1)))) == 130
 
     @settings(max_examples=150, deadline=None)
     @given(random_trees(max_n=30))
@@ -97,7 +97,7 @@ class TestSubtreeCount:
             assert subtree_count(star(n)) == 2 ** (n - 1) + n - 1
 
     def test_example_caterpillar(self):
-        assert subtree_count(build_caterpillar(CaterpillarSpec(3, (2, 0)))) == 41
+        assert subtree_count(build_caterpillar(CaterpillarDecomposition((3, 0, 1)))) == 41
 
     def test_vs_subset_oracle(self, small_free_trees):
         for n, trees in small_free_trees.items():
@@ -167,7 +167,7 @@ class TestHyperWiener:
 
 class TestWienerLambda:
     def test_lambda_one_is_wiener(self):
-        t = build_caterpillar(CaterpillarSpec(3, (2, 0)))
+        t = build_caterpillar(CaterpillarDecomposition((3, 0, 1)))
         assert wiener_lambda(t, 1) == pytest.approx(wiener(t), rel=1e-12)
 
     def test_p3_squared(self):
@@ -336,7 +336,7 @@ class TestDistanceKernel:
 
 class TestReport:
     def test_residuals_zero_and_serializable(self):
-        t = build_caterpillar(CaterpillarSpec(3, (2, 0)))
+        t = build_caterpillar(CaterpillarDecomposition((3, 0, 1)))
         report = invariant_report(t, (1.0, 2.0))
         d = report.to_dict()
         assert d["wiener"] == 46

@@ -4,14 +4,12 @@ import pytest
 from hypothesis import given
 from hypothesis import strategies as st
 
-from ecctrees.enumeration import free_trees, valid_sequences
+from ecctrees.enumeration import free_trees
 from ecctrees.sequence import (
     EccSequence,
-    InvalidSequenceError,
     SequenceError,
     eccentric_sequence,
     parse_sequence,
-    sequence_of_extremal_params,
     validate_tree_sequence,
 )
 
@@ -146,30 +144,3 @@ def _compositions(total, parts):
         for rest in _compositions(total - first, parts - 1):
             yield (first,) + rest
 
-
-class TestExtremalParams:
-    @pytest.mark.parametrize(
-        "text,q,t",
-        [
-            ("1,2,2,2", 1, (1,)),
-            ("2,3,3,4,4,4,4", 3, (2, 0)),
-            ("3,4,4,5,5,5,6,6,6,6", 5, (2, 1, 0)),
-        ],
-    )
-    def test_examples(self, text, q, t):
-        assert sequence_of_extremal_params(parse_sequence(text)) == (q, t)
-
-    def test_invalid_rejected(self):
-        with pytest.raises(InvalidSequenceError):
-            sequence_of_extremal_params(parse_sequence("2,3,4,4"))
-
-    def test_compact_constraints_for_all_valid(self):
-        for s in valid_sequences(12):
-            q, t = sequence_of_extremal_params(s)
-            assert len(t) == s.l - 1
-            assert all(tj >= 0 for tj in t)
-            assert s.mult[0] in (1, 2)
-            if s.mult[0] == 1:
-                assert s.bl == 2 * s.b1
-            else:
-                assert s.bl == 2 * s.b1 - 1

@@ -22,7 +22,7 @@ from ecctrees.tree import (
     tree_from_pruefer,
     tree_to_text,
 )
-from ecctrees.extremal import CaterpillarSpec, build_caterpillar
+from ecctrees.extremal import CaterpillarDecomposition, build_caterpillar
 
 from .conftest import random_trees, seeded_random_trees
 from .oracles import (
@@ -71,7 +71,7 @@ class TestParse:
             parse_tree("3\n0 1\n1 0")
 
     def test_roundtrip(self):
-        t = build_caterpillar(CaterpillarSpec(3, (2, 0)))
+        t = build_caterpillar(CaterpillarDecomposition((3, 0, 1)))
         assert parse_tree(tree_to_text(t)) == t
 
     @given(st.text() | st.text(alphabet="0123456789 \n#-"))
@@ -134,7 +134,7 @@ class TestDistances:
 
     def test_caterpillar_pendant(self):
         # pendants 5, 6 hang at position 1 of the path 0..4
-        t = build_caterpillar(CaterpillarSpec(3, (2, 0)))
+        t = build_caterpillar(CaterpillarDecomposition((3, 0, 1)))
         assert distances_from(t, 5)[:5] == [2, 1, 2, 3, 4]
 
     def test_bad_vertex(self):
@@ -150,7 +150,7 @@ class TestEccentricities:
         assert eccentricities(star(4)) == [1, 2, 2, 2]
 
     def test_caterpillar(self):
-        t = build_caterpillar(CaterpillarSpec(3, (2, 0)))
+        t = build_caterpillar(CaterpillarDecomposition((3, 0, 1)))
         assert sorted(eccentricities(t)) == [2, 3, 3, 4, 4, 4, 4]
 
     def test_exhaustive_vs_bruteforce(self, small_free_trees):
@@ -214,13 +214,13 @@ class TestBackbone:
         assert not backbone(spider).is_caterpillar
 
     def test_caterpillar_backbone_length(self):
-        t = build_caterpillar(CaterpillarSpec(5, (2, 1, 0)))
+        t = build_caterpillar(CaterpillarDecomposition((3, 1, 0, 0, 1)))
         bb = backbone(t)
         assert bb.is_caterpillar
         assert len(bb.path) == 5
 
     def test_orientation_deterministic(self):
-        t = build_caterpillar(CaterpillarSpec(3, (2, 0)))
+        t = build_caterpillar(CaterpillarDecomposition((3, 0, 1)))
         assert backbone(t).path[0] < backbone(t).path[-1]
 
     def test_matches_definition(self, small_free_trees):
