@@ -90,14 +90,15 @@ def build_parser() -> argparse.ArgumentParser:
     lam.add_argument("--lambda", dest="lambdas", default="1", metavar="a,b,c")
     sub = parser.add_subparsers(dest="command", required=True)
 
+    seq_help = 'raw "2,3,3,4,4" or compact "2^1,3^2,4^2"; "-" reads it from stdin'
     p = sub.add_parser("validate", parents=[fmt], help="validate an eccentric sequence")
-    p.add_argument("sequence")
+    p.add_argument("sequence", help=seq_help)
     p = sub.add_parser("extremal", parents=[fmt], help="build the extremal caterpillar")
-    p.add_argument("sequence")
+    p.add_argument("sequence", help=seq_help)
     p = sub.add_parser("invariants", parents=[fmt, lam], help="invariant report for a tree file")
     p.add_argument("treefile")
     p = sub.add_parser("verify", parents=[fmt, max_n], help="exhaustively verify extremality")
-    p.add_argument("sequence")
+    p.add_argument("sequence", help=seq_help)
     sub.add_parser("audit", parents=[fmt, max_n], help="audit printed formulas vs oracles")
     sub.add_parser(
         "explore", parents=[fmt, max_n, lam], help="explore the HW / lambda-Wiener conjecture"
@@ -258,6 +259,10 @@ def main(argv: list[str] | None = None) -> int:
         )
         if getattr(args, "max_n", 3) < 3:
             raise UsageError("--max-n must be >= 3")
+        # "-" takes the sequence from stdin, as one may be longer than an
+        # argument can be (128 KiB on Linux)
+        if getattr(args, "sequence", None) == "-":
+            args.sequence = sys.stdin.read()
         return _COMMANDS[args.command](args)
     except UsageError as exc:
         print(f"usage error: {exc}", file=sys.stderr)

@@ -4,7 +4,6 @@ conjecture explorer for the hyper-Wiener and lambda-Wiener indices."""
 
 from __future__ import annotations
 
-from dataclasses import dataclass
 from fractions import Fraction
 from itertools import product
 
@@ -35,7 +34,7 @@ from .sequence import (
     require_valid,
     validate_tree_sequence,
 )
-from .tree import Tree, _bfs_order, canonical_code, tree_to_text
+from .tree import Tree, _bfs_order, _Record, canonical_code, tree_to_text
 
 LAMBDA_TOL = 1e-9  # relative tolerance for lambda-Wiener minimiser ties
 DEFAULT_BUDGET = 12
@@ -184,8 +183,7 @@ def _compositions(total: int, parts: int, minimum: int = 0):
             yield (first,) + rest
 
 
-@dataclass(frozen=True)
-class ExtremalityReport:
+class ExtremalityReport(_Record):
     sequence: EccSequence
     n: int
     trees_examined: int
@@ -296,8 +294,7 @@ def count_caterpillars(s: EccSequence) -> int:
     return sum(1 for _ in _caterpillar_vectors(s))
 
 
-@dataclass(frozen=True)
-class AuditRow:
+class AuditRow(_Record):
     sequence: EccSequence
     n: int
     oracle_w: int
@@ -336,8 +333,7 @@ class AuditRow:
         }
 
 
-@dataclass(frozen=True)
-class AuditReport:
+class AuditReport(_Record):
     max_n: int
     rows: tuple[AuditRow, ...]
 
@@ -404,8 +400,7 @@ def audit_formulas(max_n: int) -> AuditReport:
     return AuditReport(max_n=max_n, rows=tuple(rows))
 
 
-@dataclass(frozen=True)
-class ConjectureRow:
+class ConjectureRow(_Record):
     sequence: EccSequence
     index: str  # "HW" or "lambda=<value>"
     minimizers: tuple[bytes, ...]
@@ -424,8 +419,7 @@ class ConjectureRow:
         }
 
 
-@dataclass(frozen=True)
-class ConjectureReport:
+class ConjectureReport(_Record):
     max_n: int
     lambdas: tuple[float, ...]
     rows: tuple[ConjectureRow, ...]

@@ -9,16 +9,14 @@ reports where they differ.  Nothing here silently corrects a formula.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
 from fractions import Fraction
 from math import comb
 
 from .sequence import EccSequence, eccentric_sequence, require_valid
-from .tree import Tree
+from .tree import Tree, _Record
 
 
-@dataclass(frozen=True)
-class CaterpillarDecomposition:
+class CaterpillarDecomposition(_Record):
     """A caterpillar as the pendant counts c_1..c_q of its backbone positions.
 
     c_i counts every pendant vertex hanging at backbone position i, including
@@ -28,17 +26,18 @@ class CaterpillarDecomposition:
 
     c: tuple[int, ...]
 
-    def __post_init__(self):
-        q = len(self.c)
+    def __init__(self, c: tuple[int, ...]):
+        q = len(c)
         if q < 1:
             raise ValueError("decomposition needs at least one position")
-        if any(ci < 0 for ci in self.c):
+        if any(ci < 0 for ci in c):
             raise ValueError("pendant counts must be nonnegative")
         if q == 1:
-            if self.c[0] < 2:
+            if c[0] < 2:
                 raise ValueError("q=1 needs both path-end pendants on c_1")
-        elif self.c[0] < 1 or self.c[-1] < 1:
+        elif c[0] < 1 or c[-1] < 1:
             raise ValueError("path-end pendants require c_1 >= 1 and c_q >= 1")
+        super().__init__(c)
 
     @property
     def q(self) -> int:

@@ -17,12 +17,13 @@ edge is read off the rows of its two ends.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+import sys
+from array import array
 from decimal import Decimal
 from fractions import Fraction
 from math import comb, isfinite
 
-from .tree import Tree, _bfs_order
+from .tree import Tree, _bfs_order, _Record
 
 
 def _subtree_sizes(order, parent, size) -> None:
@@ -46,11 +47,26 @@ def _wiener_rooted(order, parent) -> int:
 def _subtrees_rooted(order, parent) -> int:
     """The subtree count from a rooted order and its parent array: f(v) =
     prod over children (1 + f(child)) counts the subtrees whose vertex
-    closest to the root is v, so their sum is the count."""
-    f = [1] * len(parent)
+    closest to the root is v, so their sum is the count.
+
+    A leaf child (f = 1) doubles its parent's factor, so the leaves of a
+    vertex are counted and shifted in once, when the vertex is done.  The
+    factors are summed smallest first, so that a hub's huge factor is not
+    copied once for every small one added after it.
+    """
+    n = len(parent)
+    f = [1] * n
+    leaves = [0] * n
     for v in order[:0:-1]:
-        f[parent[v]] *= 1 + f[v]
-    return sum(f)
+        fv = f[v] << leaves[v]
+        f[v] = fv
+        if fv == 1:
+            leaves[parent[v]] += 1
+        else:
+            f[parent[v]] *= 1 + fv
+    root = order[0]
+    f[root] <<= leaves[root]
+    return sum(sorted(f))
 
 
 def wiener(t: Tree) -> int:
@@ -76,6 +92,10 @@ def subtree_count(t: Tree) -> int:
 # packed big-int product (about 130 on a 2-core Xeon, Python 3.11).
 _SCHOOLBOOK_MAX = 128
 
+# Unsigned array type codes by item size, ascending, for the slots of
+# _kronecker_product.
+_SLOT_TYPES = {array(code).itemsize: code for code in "BHILQ"}
+
 
 def _kronecker_product(a: list[int], b: list[int]) -> list[int]:
     """The product of two lists of nonnegative coefficients, neither all
@@ -84,15 +104,24 @@ def _kronecker_product(a: list[int], b: list[int]) -> list[int]:
 
     Each list is packed into an int with w bytes per coefficient.  Every
     coefficient of the product is at most sum(a) * sum(b), so w bytes hold
-    it and no slot carries into the next; the product's bytes are then
-    read back w at a time.
+    it and no slot carries into the next.  w is rounded up to an array item
+    size, 1, 2, 4 or 8 bytes, so that the product's little-endian bytes are
+    read back in one call (byte-swapped on a big-endian host).  A tree's
+    pair counts are below n^2, so 8 bytes hold them for any tree that fits
+    in memory; wider slots are read one at a time.
     """
-    w = ((sum(a) * sum(b)).bit_length() + 7) // 8
+    need = ((sum(a) * sum(b)).bit_length() + 7) // 8
+    w = next((size for size in _SLOT_TYPES if size >= need), need)
     pa = int.from_bytes(b"".join([x.to_bytes(w, "little") for x in a]), "little")
     pb = int.from_bytes(b"".join([x.to_bytes(w, "little") for x in b]), "little")
     m = (len(a) + len(b) - 1) * w
     buf = (pa * pb).to_bytes(m, "little")
-    return [int.from_bytes(buf[i : i + w], "little") for i in range(0, m, w)]
+    if w not in _SLOT_TYPES:
+        return [int.from_bytes(buf[i : i + w], "little") for i in range(0, m, w)]
+    slots = array(_SLOT_TYPES[w], buf)
+    if sys.byteorder == "big":
+        slots.byteswap()
+    return slots.tolist()
 
 
 def _centroid(adjacency, removed, parent, size, order: list[int]) -> int:
@@ -275,8 +304,7 @@ def wiener_lambda(t: Tree, lam: float) -> float:
     return _wiener_lambda(_distance_sums(t, sums=False)[0], lam)
 
 
-@dataclass(frozen=True)
-class InvariantReport:
+class InvariantReport(_Record):
     n: int
     wiener: int
     subtrees: int

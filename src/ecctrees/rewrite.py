@@ -9,13 +9,10 @@ same eccentric sequence.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
-
-from .tree import Tree, _bfs_order, _diametral_path
+from .tree import Tree, _bfs_order, _diametral_path, _Record
 
 
-@dataclass(frozen=True)
-class RewriteMove:
+class RewriteMove(_Record):
     path: tuple[int, ...]  # diametral path v_0..v_d, oriented so j >= d/2
     j: int  # pivot index on the path
     u: int  # off-path non-pendant neighbour of v_j

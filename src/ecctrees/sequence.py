@@ -4,34 +4,43 @@ validity test for tree eccentric sequences."""
 from __future__ import annotations
 
 import json
-from dataclasses import dataclass
 
-from .tree import Tree, eccentricities
+from .tree import Tree, _Record, _set, eccentricities
 
 
 class SequenceError(ValueError):
     """Text does not describe a well-formed eccentric sequence."""
 
 
-@dataclass(frozen=True)
-class EccSequence:
+class EccSequence(_Record):
     """Nondecreasing gap-free sequence of positive integers in compact form
     EccSequence(b1, mult): m_1..m_l count the values b1, b1+1, ..., b1+l-1.
     Gap-freeness holds for the eccentricities of any connected graph.  The
     single vertex's EccSequence(0, (1,)) is the one sequence holding a 0.
     """
 
+    __slots__ = ("b1", "_mult")
     b1: int
     _mult: tuple[int, ...]
 
-    def __post_init__(self):
-        if self.b1 < 1 and (self.b1, tuple(self._mult)) != (0, (1,)):
+    def __init__(self, b1: int, _mult: tuple[int, ...]):
+        mult = tuple(_mult)
+        if b1 < 1 and (b1, mult) != (0, (1,)):
             raise SequenceError("entries must be positive integers")
-        if not self._mult:
+        if not mult:
             raise SequenceError("empty sequence")
-        if any(m < 1 for m in self._mult):
+        if min(mult) < 1:
             raise SequenceError("multiplicities must be positive")
-        object.__setattr__(self, "_mult", tuple(self._mult))
+        _set(self, "b1", b1)
+        _set(self, "_mult", mult)
+
+    def __eq__(self, other):
+        if other.__class__ is not self.__class__:
+            return NotImplemented
+        return self.b1 == other.b1 and self._mult == other._mult
+
+    def __hash__(self):
+        return hash((self.b1, self._mult))
 
     @property
     def mult(self) -> tuple[int, ...]:
@@ -126,8 +135,7 @@ def eccentric_sequence(t: Tree) -> EccSequence:
     return _count_values(eccentricities(t))
 
 
-@dataclass(frozen=True)
-class ValidationResult:
+class ValidationResult(_Record):
     valid: bool
     reason: str | None = None  # one of "TooShort", "CondI", "CondII"
 

@@ -6,7 +6,8 @@ changes after construction, so everything is safe to share across threads.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+# stores a field of a slotted record past the __setattr__ that refuses it
+_set = object.__setattr__
 
 
 class TreeError(ValueError):
@@ -34,21 +35,87 @@ def _own_edge(edge) -> tuple[int, int]:
     return edge if type(edge) is tuple and u < v else _normalize_edge(u, v)
 
 
-@dataclass(frozen=True, slots=True)
-class Tree:
+class _Record:
+    """Base of the package's frozen value records.
+
+    A subclass lists its fields once, as class annotations in order; a
+    class attribute of the same name is that field's default.  Instances
+    are built by position or keyword, compare equal and hash by their field
+    values (only to an instance of the same class), print as
+    Name(field=value, ...) and refuse assignment and deletion with
+    AttributeError.  Pickling and copying rebuild through the constructor.
+    """
+
+    __slots__ = ()
+    _fields: tuple[str, ...] = ()
+
+    def __init_subclass__(cls):
+        cls._fields = tuple(cls.__annotations__)
+
+    def __init__(self, *args, **kwargs):
+        cls = type(self)
+        fields = self._fields
+        if len(args) > len(fields):
+            raise TypeError(f"{cls.__name__}() takes {len(fields)} fields")
+        values = dict(zip(fields, args))
+        for key, value in kwargs.items():
+            if key in values or key not in fields:
+                raise TypeError(f"{cls.__name__}() got a bad field {key!r}")
+            values[key] = value
+        if len(values) < len(fields):
+            for key in fields:
+                if key not in values:
+                    if key not in vars(cls):
+                        raise TypeError(f"{cls.__name__}() missing field {key!r}")
+                    values[key] = vars(cls)[key]
+        self.__dict__.update(values)
+
+    def _values(self) -> tuple:
+        return tuple([getattr(self, key) for key in self._fields])
+
+    def __eq__(self, other):
+        if other.__class__ is not self.__class__:
+            return NotImplemented
+        return self._values() == other._values()
+
+    def __hash__(self):
+        return hash(self._values())
+
+    def __repr__(self) -> str:
+        fields = ", ".join(f"{key}={getattr(self, key)!r}" for key in self._fields)
+        return f"{type(self).__qualname__}({fields})"
+
+    def __setattr__(self, key, value):
+        raise AttributeError(f"cannot assign to field {key!r}")
+
+    def __delattr__(self, key):
+        raise AttributeError(f"cannot delete field {key!r}")
+
+    def __reduce__(self):
+        return type(self), self._values()
+
+
+class Tree(_Record):
     """Undirected tree on vertices 0..n-1, given by its n-1 edges.
 
     Slotted, so an instance carries no __dict__; an edge passed in as a
-    normalized tuple is stored as is rather than copied.
+    normalized tuple is stored as is rather than copied.  The fields are n
+    and edges; the neighbour lists, adjacency, are derived from them.
     """
 
+    __slots__ = ("n", "edges", "adjacency")
     n: int
     edges: tuple[tuple[int, int], ...]
-    adjacency: tuple[tuple[int, ...], ...] = field(
-        init=False, repr=False, compare=False
-    )
+
+    def __init__(self, n: int, edges: tuple[tuple[int, int], ...]):
+        _set(self, "n", n)
+        _set(self, "edges", edges)
+        self.__post_init__()
 
     def __post_init__(self):
+        """Normalize and sort the edges, build the adjacency and check that
+        they form a tree.  A method of its own, called by __init__, so that
+        perfbench's tracer can wrap and time tree construction."""
         if self.n < 1:
             raise TreeError("tree must have at least one vertex")
         edges = tuple(sorted(map(_own_edge, self.edges)))
@@ -67,12 +134,20 @@ class Tree:
             previous = edge
             adj[u].append(v)
             adj[v].append(u)
-        object.__setattr__(self, "edges", edges)
+        _set(self, "edges", edges)
         # with the edges sorted, every neighbour list is built ascending
-        object.__setattr__(self, "adjacency", tuple(map(tuple, adj)))
+        _set(self, "adjacency", tuple(map(tuple, adj)))
         # n-1 edges + connected <=> tree
         if len(_bfs_order(self, 0)[0]) != self.n:
             raise TreeError("graph is disconnected (hence cyclic)")
+
+    def __eq__(self, other):
+        if other.__class__ is not self.__class__:
+            return NotImplemented
+        return self.n == other.n and self.edges == other.edges
+
+    def __hash__(self):
+        return hash((self.n, self.edges))
 
     def degree(self, v: int) -> int:
         return len(self.adjacency[v])
@@ -81,8 +156,7 @@ class Tree:
         return tuple(len(nbrs) for nbrs in self.adjacency)
 
 
-@dataclass(frozen=True)
-class Backbone:
+class Backbone(_Record):
     """Result of removing all pendant vertices from a tree."""
 
     path: tuple[int, ...]

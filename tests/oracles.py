@@ -4,7 +4,8 @@ These deliberately avoid the production code paths they are checking:
 eccentricities by n separate BFS runs, Wiener by summing an explicit distance
 matrix, the other distance indices by all-pairs sums over explicit n x n and
 m x m distance matrices and by one BFS row per vertex, depth-histogram
-products term by term, subtree counts by subset connectivity, free-tree
+products term by term, subtree counts by subset connectivity and by the
+one-child-at-a-time product over a rooted order, free-tree
 counts by labelled (Pruefer) enumeration plus canonical dedup, canonical codes
 by recursive AHU at the centers found from the brute-force eccentricities, the
 backbone by a walk over core degrees, and the rewrite move from separate
@@ -158,6 +159,16 @@ def subtree_count_bruteforce(t: Tree) -> int:
             if _is_connected(t, set(subset)):
                 count += 1
     return count
+
+
+def subtrees_rooted_product(order, parent) -> int:
+    """The subtree count of a rooted order and its parent array, with each
+    vertex's factor prod (1 + f(child)) multiplied one child at a time and
+    summed in vertex order."""
+    f = [1] * len(parent)
+    for v in order[:0:-1]:
+        f[parent[v]] *= 1 + f[v]
+    return sum(f)
 
 
 def _is_connected(t: Tree, subset: set[int]) -> bool:

@@ -1,3 +1,4 @@
+import io
 import json
 import os
 import subprocess
@@ -5,6 +6,7 @@ import sys
 import time
 from decimal import Decimal
 from importlib import resources
+from math import comb
 from pathlib import Path
 
 import jsonschema
@@ -122,6 +124,55 @@ class TestExtremal:
         code, _, err = run(capsys, "extremal", f"1^1,2^{m}", "--format", fmt)
         assert code == 3
         assert err.endswith(f"built order {cli.EXTREMAL_MAX_N}\n")
+
+
+class TestSequenceFromStdin:
+    """A sequence argument "-" is read from stdin, through the same parser
+    and exit codes as an argument."""
+
+    @pytest.mark.parametrize(
+        "command, text",
+        [
+            ("validate", "2^1,3^2,4^2\n"),
+            ("validate", "2,3,3,4,4"),
+            ("extremal", "2,3,3,4,4,4,4\n"),
+            ("extremal", "2^1,3^2,4^4"),
+            ("verify", "2,3,3,4,4\n"),
+            ("validate", "2,3,4,4"),
+            ("extremal", "2^1,3^1,4^2"),
+        ],
+    )
+    def test_same_as_argument(self, capsys, monkeypatch, command, text):
+        expected = run(capsys, command, text.strip(), "--format", "json")
+        monkeypatch.setattr(sys, "stdin", io.StringIO(text))
+        assert run(capsys, command, "-", "--format", "json") == expected
+
+    @pytest.mark.parametrize("command", ["validate", "extremal", "verify"])
+    def test_empty_stdin_is_usage_error(self, capsys, monkeypatch, command):
+        monkeypatch.setattr(sys, "stdin", io.StringIO(""))
+        code, out, err = run(capsys, command, "-")
+        assert code == 1 and out == ""
+        assert err.startswith("usage error:") and err.count("\n") == 1
+
+    def test_path_like_sequence_past_argument_limit(self):
+        """n = 100 001, about 400 KB: more than Linux passes in one argument."""
+        b = 50_000
+        text = ",".join([f"{b}^1"] + [f"{v}^2" for v in range(b + 1, 2 * b + 1)])
+        assert len(text) > 128 * 1024
+        proc = subprocess.run(
+            [sys.executable, "-m", "ecctrees.cli", "extremal", "-", "--format", "json"],
+            input=text,
+            capture_output=True,
+            text=True,
+            env=dict(os.environ, PYTHONPATH=SRC),
+        )
+        assert proc.returncode == 0, proc.stderr
+        payload = json.loads(proc.stdout)
+        assert payload["sequence"] == text
+        assert payload["tree"].startswith("100001\n")
+        # a path on 2b + 1 vertices
+        assert payload["wiener"] == comb(2 * b + 2, 3)
+        assert payload["subtrees"] == str(comb(2 * b + 2, 2))
 
 
 class TestInvariants:

@@ -16,7 +16,11 @@ import ecctrees
 import ecctrees.invariants
 import ecctrees.tree
 from ecctrees.enumeration import _free_tree_edges, free_trees
-from ecctrees.extremal import CaterpillarDecomposition, build_caterpillar
+from ecctrees.extremal import (
+    CaterpillarDecomposition,
+    build_caterpillar,
+    extremal_tree,
+)
 from ecctrees.invariants import (
     InvariantReport,
     _distance_sums,
@@ -34,7 +38,8 @@ from ecctrees.invariants import (
     wiener,
     wiener_lambda,
 )
-from ecctrees.tree import Tree, _ecc_rooted, eccentricities, tree_from_pruefer
+from ecctrees.sequence import parse_sequence
+from ecctrees.tree import Tree, _bfs_order, _ecc_rooted, eccentricities, tree_from_pruefer
 
 from .conftest import random_trees, seeded_random_trees
 from .oracles import (
@@ -45,6 +50,7 @@ from .oracles import (
     schoolbook_product,
     schultz_bruteforce,
     subtree_count_bruteforce,
+    subtrees_rooted_product,
     vertex_edge_wiener_bruteforce,
     vertex_pass_rows,
     wiener_bruteforce,
@@ -118,6 +124,27 @@ class TestRootedKernels:
             assert _ecc_rooted(order, parent) == eccentricities(t)
             assert _wiener_rooted(order, parent) == wiener(t)
             assert _subtrees_rooted(order, parent) == subtree_count(t)
+            assert _subtrees_rooted(order, parent) == subtrees_rooted_product(
+                order, parent
+            )
+
+    def test_subtree_leaf_shift_matches_product(self):
+        """The leaf-shifting subtree DP against the one-child-at-a-time
+        product, rooted at every vertex of seeded random trees and at the
+        centre and a leaf of stars and of hub-shaped extremal trees."""
+        trees = seeded_random_trees(40, max_n=60, seed=29)
+        trees += [star(n) for n in (2, 3, 200)]
+        trees += [
+            extremal_tree(parse_sequence(text))
+            for text in ("1^1,2^2000", "3^1,4^2,5^2,6^300", "5^1,6^2,7^2,8^2,9^2,10^1990")
+        ]
+        for t in trees:
+            roots = range(t.n) if t.n <= 60 else (0, max(range(t.n), key=t.degree))
+            for root in roots:
+                order, parent = _bfs_order(t, root)
+                assert _subtrees_rooted(order, parent) == subtrees_rooted_product(
+                    order, parent
+                )
 
 
 class TestEdgeWiener:
