@@ -7,11 +7,11 @@ assertion failure or any other unexpected error.
 
 from __future__ import annotations
 
-import argparse
-import json
+# json and argparse, like fractions and decimal in the other modules, are
+# imported by the functions that use them, so that importing the package
+# loads none of them
 import math
 import sys
-from pathlib import Path
 
 from .enumeration import (
     BudgetExceededError,
@@ -37,12 +37,9 @@ class UsageError(Exception):
     pass
 
 
-class _Parser(argparse.ArgumentParser):
-    def error(self, message):
-        raise UsageError(message)
-
-
 def _dump_json(obj) -> str:
+    import json
+
     return json.dumps(obj, sort_keys=True, separators=(",", ":")) + "\n"
 
 
@@ -81,6 +78,12 @@ def _lambda_overflow(text: str) -> OverflowError:
 
 
 def build_parser() -> argparse.ArgumentParser:
+    import argparse
+
+    class _Parser(argparse.ArgumentParser):
+        def error(self, message):
+            raise UsageError(message)
+
     parser = _Parser(prog="ecctrees", description=__doc__)
     fmt = argparse.ArgumentParser(add_help=False)
     fmt.add_argument("--format", choices=("text", "json"), default="text")
@@ -155,7 +158,8 @@ def cmd_extremal(args) -> int:
 
 
 def cmd_invariants(args) -> int:
-    text = Path(args.treefile).read_text()
+    with open(args.treefile) as f:
+        text = f.read()
     t = parse_tree(text)
     lambdas = _parse_lambdas(args.lambdas)
     try:

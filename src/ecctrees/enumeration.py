@@ -4,7 +4,6 @@ conjecture explorer for the hyper-Wiener and lambda-Wiener indices."""
 
 from __future__ import annotations
 
-from fractions import Fraction
 from itertools import product
 
 from .extremal import (

@@ -9,7 +9,6 @@ reports where they differ.  Nothing here silently corrects a formula.
 
 from __future__ import annotations
 
-from fractions import Fraction
 from math import comb
 
 from .sequence import EccSequence, eccentric_sequence, require_valid
@@ -181,6 +180,8 @@ def max_subtrees_printed_detail(s: EccSequence) -> tuple[Fraction, bool]:
     the truncation is flagged in the second return value.  Not asserted equal
     to the oracle.
     """
+    from fractions import Fraction
+
     require_valid(s)
     mult = s.mult
     l = s.l

@@ -18,12 +18,12 @@ edge is read off the rows of its two ends.
 from __future__ import annotations
 
 import sys
-from array import array
-from decimal import Decimal
-from fractions import Fraction
 from math import comb, isfinite
 
 from .tree import Tree, _bfs_order, _Record
+
+# fractions, decimal and array are imported by the functions that use them,
+# so that importing the package loads none of them
 
 
 def _subtree_sizes(order, parent, size) -> None:
@@ -78,9 +78,15 @@ def count_text(count: int) -> str:
     """Decimal text of an exact count, however many digits it has.
 
     str(int) refuses more than 4 300 digits (sys.set_int_max_str_digits);
-    Decimal converts without that limit, which stays on for parsing.
+    past that, Decimal converts without the limit, which stays on for
+    parsing.
     """
-    return str(Decimal(count))
+    try:
+        return str(count)
+    except ValueError:
+        from decimal import Decimal
+
+        return str(Decimal(count))
 
 
 def subtree_count(t: Tree) -> int:
@@ -92,10 +98,6 @@ def subtree_count(t: Tree) -> int:
 # packed big-int product (about 130 on a 2-core Xeon, Python 3.11).
 _SCHOOLBOOK_MAX = 128
 
-# Unsigned array type codes by item size, ascending, for the slots of
-# _kronecker_product.
-_SLOT_TYPES = {array(code).itemsize: code for code in "BHILQ"}
-
 
 def _kronecker_product(a: list[int], b: list[int]) -> list[int]:
     """The product of two lists of nonnegative coefficients, neither all
@@ -105,21 +107,35 @@ def _kronecker_product(a: list[int], b: list[int]) -> list[int]:
     Each list is packed into an int with w bytes per coefficient.  Every
     coefficient of the product is at most sum(a) * sum(b), so w bytes hold
     it and no slot carries into the next.  w is rounded up to an array item
-    size, 1, 2, 4 or 8 bytes, so that the product's little-endian bytes are
-    read back in one call (byte-swapped on a big-endian host).  A tree's
-    pair counts are below n^2, so 8 bytes hold them for any tree that fits
-    in memory; wider slots are read one at a time.
+    size, 1, 2, 4 or 8 bytes, so that each list is packed, and the product
+    read back, in one call; the slots are little-endian, so the items are
+    byte-swapped on a big-endian host.  A tree's pair counts are below n^2,
+    so 8 bytes hold them for any tree that fits in memory; wider slots are
+    packed and read one at a time.
     """
+    from array import array
+
     need = ((sum(a) * sum(b)).bit_length() + 7) // 8
-    w = next((size for size in _SLOT_TYPES if size >= need), need)
-    pa = int.from_bytes(b"".join([x.to_bytes(w, "little") for x in a]), "little")
-    pb = int.from_bytes(b"".join([x.to_bytes(w, "little") for x in b]), "little")
+    # the smallest unsigned array type holding need bytes (C orders the
+    # sizes of char, short, int, long and long long), if there is one
+    code = next((c for c in "BHILQ" if array(c).itemsize >= need), None)
+    w = array(code).itemsize if code else need
     m = (len(a) + len(b) - 1) * w
-    buf = (pa * pb).to_bytes(m, "little")
-    if w not in _SLOT_TYPES:
+    if code is None:
+        pa, pb = [
+            int.from_bytes(b"".join([x.to_bytes(w, "little") for x in c]), "little")
+            for c in (a, b)
+        ]
+        buf = (pa * pb).to_bytes(m, "little")
         return [int.from_bytes(buf[i : i + w], "little") for i in range(0, m, w)]
-    slots = array(_SLOT_TYPES[w], buf)
-    if sys.byteorder == "big":
+    swap = sys.byteorder == "big"
+    pa, pb = [array(code, c) for c in (a, b)]
+    if swap:
+        pa.byteswap()
+        pb.byteswap()
+    product = int.from_bytes(pa, "little") * int.from_bytes(pb, "little")
+    slots = array(code, product.to_bytes(m, "little"))
+    if swap:
         slots.byteswap()
     return slots.tolist()
 
@@ -280,6 +296,8 @@ def edge_wiener_line(t: Tree) -> int:
 
 def vertex_edge_wiener(t: Tree) -> Fraction:
     """Half the sum of all vertex-to-edge distances, exact."""
+    from fractions import Fraction
+
     return Fraction(_distance_sums(t)[3], 2)
 
 
@@ -343,6 +361,8 @@ def invariant_report(t: Tree, lambdas: tuple[float, ...] = ()) -> InvariantRepor
     The residuals are zero for every tree; nonzero values would flag a defect
     in one of the computations.
     """
+    from fractions import Fraction
+
     n = t.n
     w = wiener(t)
     counts, wp, wm, vertex_edge, we = _distance_sums(t)

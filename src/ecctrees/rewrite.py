@@ -5,6 +5,24 @@ non-pendant neighbour u and reattach everything hanging below u to v_{j+1}.
 The eccentricity multiset is unchanged, the Wiener index strictly drops and
 the subtree count strictly grows, so iterating reaches a caterpillar with the
 same eccentric sequence.
+
+A move also keeps the canonical diametral path a..b of _diametral_path (a
+the lowest-id vertex farthest from 0, b the lowest-id one farthest from a).
+The tests check this; caterpillarize does not rely on it yet.  Let U be the
+vertices below u, R the v_{j+1} side of the edge v_j v_{j+1}, and the path
+oriented so that j >= d/2 (j >= 2, as u has a child).  The move changes only
+the distances from U to u (up by 2) and from U to R (down by 2): each moved
+vertex keeps its distance to v_0 and to everything on v_0's side of v_j.
+- From 0: if 0 is neither u nor in U, no distance rises, and a, being on
+  the path, keeps its distance, so a stays.  If 0 is in U at depth h below
+  u, d(0, u) rises to h + 2 < h + 1 + j = d(0, v_0); R falls, but a is not
+  in R, which lies within h + 1 + (d - j) of 0, since a tie needs j = d/2
+  and then a = v_0.  If 0 = u, U rises to at most 1 + (d - j) <= d(u, v_0);
+  a tie needs j = d/2 (so a = v_0) and a vertex x of U at distance d from a,
+  a tie with b that the lowest-id rule broke as b < x, while a < b as b too
+  is at distance 1 + j from u.  So a stays.
+- From a, which is v_0 or v_d, no distance rises, so b stays, and the walk
+  back from b follows the path, whose edges the move keeps.
 """
 
 from __future__ import annotations

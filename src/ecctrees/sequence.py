@@ -3,8 +3,6 @@ validity test for tree eccentric sequences."""
 
 from __future__ import annotations
 
-import json
-
 from .tree import Tree, _Record, _set, eccentricities
 
 
@@ -70,10 +68,14 @@ class EccSequence(_Record):
         return ",".join(f"{self.b1 + j}^{m}" for j, m in enumerate(self._mult))
 
     def to_json(self) -> str:
+        import json
+
         return json.dumps({"b1": self.b1, "mult": list(self._mult)})
 
     @classmethod
     def from_json(cls, text: str) -> "EccSequence":
+        import json
+
         obj = json.loads(text)
         return cls(obj["b1"], obj["mult"])
 

@@ -245,6 +245,35 @@ class TestVerifyAuditExplore:
         assert lines[-1] == f"rows: 38, construction not minimal: {len(losses)}, ties: 0"
 
 
+P5 = "5\n0 1\n1 2\n2 3\n3 4\n"
+
+# one call of each command; json, argparse, fractions and decimal are
+# imported by the code that runs it, not by importing the CLI
+EACH_COMMAND = [
+    ["validate", "2,3,3,4,4"],
+    ["extremal", "2,3,3,4,4,4,4"],
+    ["invariants", "p5.tree", "--lambda", "-1,2"],
+    ["verify", "2,3,3,4,4,4,4"],
+    ["audit", "--max-n", "7"],
+    ["explore", "--max-n", "6", "--lambda", "1,2"],
+]
+
+
+class TestEachCommand:
+    @pytest.mark.parametrize("argv", EACH_COMMAND, ids=lambda argv: argv[0])
+    def test_text_and_json(self, capsys, schemas, tmp_path, monkeypatch, argv):
+        (tmp_path / "p5.tree").write_text(P5)
+        monkeypatch.chdir(tmp_path)
+        code, payload = run_json(capsys, schemas, *argv)
+        assert code == 0
+        code, out, err = run(capsys, *argv)
+        assert code == 0 and err == ""
+        assert out.endswith("\n") and not out.startswith("{")
+        if argv[0] in ("invariants", "verify"):  # one "key: value" line per field
+            keys = [line.split(":")[0] for line in out.splitlines()]
+            assert sorted(keys) == sorted(payload)
+
+
 class TestScripts:
     def test_verify_main_result(self):
         script = Path(__file__).parents[1] / "scripts" / "verify_main_result.py"
@@ -261,6 +290,14 @@ class TestScripts:
 class TestUsage:
     def test_unknown_command(self, capsys):
         assert run(capsys, "frobnicate")[0] == 1
+
+    @pytest.mark.parametrize(
+        "argv", [["frobnicate"], ["validate"], ["audit", "--seed", "1"]]
+    )
+    def test_parser_error_is_one_usage_line(self, capsys, argv):
+        code, out, err = run(capsys, *argv)
+        assert code == 1 and out == ""
+        assert err.startswith("usage error: ") and err.count("\n") == 1
 
     def test_bad_max_n(self, capsys):
         assert run(capsys, "audit", "--max-n", "2")[0] == 1

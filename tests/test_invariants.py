@@ -27,6 +27,7 @@ from ecctrees.invariants import (
     _kronecker_product,
     _subtrees_rooted,
     _wiener_rooted,
+    count_text,
     edge_wiener,
     edge_wiener_line,
     gutman,
@@ -394,6 +395,13 @@ class TestReport:
         big = 2**15000 + 15000  # 4 516 digits; str(int) stops at 4 300
         report = InvariantReport(15001, 0, big, 0, 0, Fraction(0), 0, 0, 0, {}, {})
         assert Decimal(report.to_dict()["subtrees"]) == big
+
+    def test_count_text_on_either_side_of_int_str_limit(self):
+        """str(int) up to 4 300 digits, Decimal past them: the same text."""
+        edges = (10**4299, 10**4300 - 1, 10**4300, 2**15000 + 15000)
+        for count in (0, 1, 41, 2**64, *edges):
+            assert count_text(count) == str(Decimal(count))
+        assert len(count_text(10**4300)) == 4301
 
     def test_to_dict_rejects_half_integer_under_optimize(self):
         """The integrality check survives python -O, which strips asserts."""

@@ -1,5 +1,6 @@
 """The frozen value records: construction, equality, hashing, repr,
-immutability, pickling and copying, and an import that needs no dataclasses."""
+immutability, pickling and copying, and the stdlib modules that importing
+the package leaves to the commands."""
 
 import copy
 import os
@@ -158,10 +159,27 @@ def test_constructor_arguments():
     assert ec.EccSequence(b1=2, _mult=[1, 2]) == ec.EccSequence(2, (1, 2))
 
 
+# stdlib modules that only running a command may load, not the import
+DEFERRED = ("json", "argparse", "fractions", "decimal", "pathlib", "dataclasses")
+
+
 def test_cli_import_leaves_out_dataclasses():
-    code = "import sys, ecctrees.cli; sys.exit('dataclasses' in sys.modules)"
+    """Importing the package and its CLI loads none of DEFERRED (a module
+    that the interpreter had loaded at startup is not counted)."""
+    code = (
+        "import sys\n"
+        "before = set(sys.modules)\n"
+        "import ecctrees, ecctrees.cli\n"
+        "print(*sorted(set(sys.modules) - before))\n"
+    )
     src = str(Path(ec.__file__).parents[1])
     proc = subprocess.run(
-        [sys.executable, "-c", code], env=dict(os.environ, PYTHONPATH=src)
+        [sys.executable, "-c", code],
+        env=dict(os.environ, PYTHONPATH=src),
+        capture_output=True,
+        text=True,
+        check=True,
     )
-    assert proc.returncode == 0
+    added = set(proc.stdout.split())
+    assert "ecctrees.cli" in added
+    assert not added & set(DEFERRED)

@@ -1,14 +1,17 @@
+import random
+
 import pytest
 from hypothesis import given, settings
 
 import ecctrees.rewrite
+from ecctrees.enumeration import free_trees
 from ecctrees.invariants import subtree_count
 from ecctrees.rewrite import StaleMoveError, apply_move, caterpillarize, find_move
 from ecctrees.sequence import eccentric_sequence
-from ecctrees.tree import Tree, is_caterpillar
+from ecctrees.tree import Tree, _diametral_path, is_caterpillar
 
 from .conftest import random_trees, seeded_random_trees
-from .oracles import find_move_by_components, wiener_bruteforce
+from .oracles import find_move_by_components, relabel, wiener_bruteforce
 
 
 SPIDER = Tree(7, ((0, 1), (1, 2), (0, 3), (3, 4), (0, 5), (5, 6)))
@@ -135,3 +138,33 @@ class TestCaterpillarize:
         if not is_caterpillar(t):
             assert wiener_bruteforce(cat) < wiener_bruteforce(t)
             assert subtree_count(cat) > subtree_count(t)
+
+
+def moves_keeping_diametral_path(t) -> int:
+    """Run the move loop on t and return its number of moves, asserting
+    that each move leaves the canonical diametral path as it was (the
+    argument is in the rewrite.py docstring)."""
+    path = _diametral_path(t)
+    moves = 0
+    while (m := find_move(t)) is not None:
+        t = apply_move(t, m)
+        assert _diametral_path(t) == path
+        moves += 1
+    return moves
+
+
+class TestMoveKeepsDiametralPath:
+    def test_every_tree_up_to_12_under_relabellings(self):
+        rng = random.Random(14)
+        moves = 0
+        for n in range(5, 13):
+            for t in free_trees(n):
+                for _ in range(3):
+                    perm = list(range(n))
+                    rng.shuffle(perm)
+                    moves += moves_keeping_diametral_path(relabel(t, perm))
+        assert moves > 1500
+
+    def test_seeded_random_trees_up_to_200(self):
+        trees = seeded_random_trees(40, max_n=200, seed=14, min_n=5)
+        assert sum(moves_keeping_diametral_path(t) for t in trees) > 1000
