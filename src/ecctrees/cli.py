@@ -1,8 +1,10 @@
 """Command-line front end.
 
-Exit codes: 0 success, 1 usage error or an input past a limit, 2
-domain-negative result (invalid sequence, failed verification), 3 internal
-assertion failure or any other unexpected error.
+Exit codes: 0 success, 1 usage error, an input past a limit, an output
+that cannot be written (one "error:" line) or a closed stdout (the reader
+of a pipe went away; nothing more is printed), 2 domain-negative result
+(invalid sequence, failed verification), 3 internal assertion failure or
+any other unexpected error.
 """
 
 from __future__ import annotations
@@ -14,9 +16,11 @@ import math
 import sys
 
 from .enumeration import (
+    DEFAULT_BUDGET,
     BudgetExceededError,
     audit_formulas,
     explore_conjecture,
+    verify_all,
     verify_extremal,
 )
 from .extremal import extremal_tree, max_subtrees_value, min_wiener_derivation
@@ -88,7 +92,7 @@ def build_parser() -> argparse.ArgumentParser:
     fmt = argparse.ArgumentParser(add_help=False)
     fmt.add_argument("--format", choices=("text", "json"), default="text")
     max_n = argparse.ArgumentParser(add_help=False)
-    max_n.add_argument("--max-n", type=int, default=12, metavar="K")
+    max_n.add_argument("--max-n", type=int, default=DEFAULT_BUDGET, metavar="K")
     lam = argparse.ArgumentParser(add_help=False)
     lam.add_argument("--lambda", dest="lambdas", default="1", metavar="a,b,c")
     sub = parser.add_subparsers(dest="command", required=True)
@@ -100,8 +104,15 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("sequence", help=seq_help)
     p = sub.add_parser("invariants", parents=[fmt, lam], help="invariant report for a tree file")
     p.add_argument("treefile")
-    p = sub.add_parser("verify", parents=[fmt, max_n], help="exhaustively verify extremality")
-    p.add_argument("sequence", help=seq_help)
+    p = sub.add_parser(
+        "verify",
+        parents=[fmt, max_n],
+        help="exhaustively verify extremality, of one sequence or of every "
+        "sequence up to --max-n vertices",
+    )
+    p.add_argument(
+        "sequence", nargs="?", help=f"{seq_help}; omitted, every sequence up to --max-n"
+    )
     sub.add_parser("audit", parents=[fmt, max_n], help="audit printed formulas vs oracles")
     sub.add_parser(
         "explore", parents=[fmt, max_n, lam], help="explore the HW / lambda-Wiener conjecture"
@@ -158,8 +169,11 @@ def cmd_extremal(args) -> int:
 
 
 def cmd_invariants(args) -> int:
-    with open(args.treefile) as f:
-        text = f.read()
+    try:
+        with open(args.treefile) as f:
+            text = f.read()
+    except OSError as exc:
+        raise UsageError(exc) from None
     t = parse_tree(text)
     lambdas = _parse_lambdas(args.lambdas)
     try:
@@ -178,6 +192,8 @@ def cmd_invariants(args) -> int:
 
 
 def cmd_verify(args) -> int:
+    if args.sequence is None:
+        return _verify_every_sequence(args)
     s = parse_sequence(args.sequence)
     if not validate_tree_sequence(s):
         return cmd_validate(args)
@@ -188,13 +204,26 @@ def cmd_verify(args) -> int:
     else:
         for key, value in payload.items():
             print(f"{key}: {value}")
-    ok = (
-        report.construction_is_min_w
-        and report.construction_is_max_n
-        and report.unique_min_w
-        and report.unique_max_n
-    )
-    return EXIT_OK if ok else EXIT_DOMAIN
+    return EXIT_OK if report.holds else EXIT_DOMAIN
+
+
+def _verify_every_sequence(args) -> int:
+    """verify without a sequence: every sequence of a tree on 3..--max-n
+    vertices, one JSON line or one table row each."""
+    failures = 0
+    for r in verify_all(args.max_n):
+        failures += not r.holds
+        if args.format == "json":
+            sys.stdout.write(_dump_json(r.to_dict()))
+        else:
+            print(
+                f"{r.sequence.compact_str():28} trees={r.trees_examined:4} "
+                f"minW={r.min_wiener:6} maxN={count_text(r.max_subtrees):>10} "
+                f"{'ok' if r.holds else 'FAIL'}"
+            )
+    if args.format != "json":
+        print(f"\nfailures: {failures}")
+    return EXIT_DOMAIN if failures else EXIT_OK
 
 
 def cmd_audit(args) -> int:
@@ -266,15 +295,33 @@ def main(argv: list[str] | None = None) -> int:
         # "-" takes the sequence from stdin, as one may be longer than an
         # argument can be (128 KiB on Linux)
         if getattr(args, "sequence", None) == "-":
-            args.sequence = sys.stdin.read()
-        return _COMMANDS[args.command](args)
-    except UsageError as exc:
+            try:
+                args.sequence = sys.stdin.read()
+            except OSError as exc:
+                raise UsageError(exc) from None
+        code = _COMMANDS[args.command](args)
+        # a closed pipe shows on the flush, so flush while it can be caught
+        sys.stdout.flush()
+        return code
+    except (UsageError, SequenceError, TreeError) as exc:
         print(f"usage error: {exc}", file=sys.stderr)
         return EXIT_USAGE
-    except (SequenceError, TreeError, OSError) as exc:
-        print(f"usage error: {exc}", file=sys.stderr)
+    except BrokenPipeError:
+        # the reader went away (e.g. "| head"): as the signal module's docs
+        # advise, point stdout at devnull so that the flush at exit cannot
+        # fail again, and exit 1 without a message
+        import os
+
+        devnull = os.open(os.devnull, os.O_WRONLY)
+        try:
+            os.dup2(devnull, sys.stdout.fileno())
+        except OSError:
+            pass  # a stdout with no file descriptor
+        finally:
+            os.close(devnull)
         return EXIT_USAGE
-    except (BudgetExceededError, OverflowError) as exc:
+    except (BudgetExceededError, OverflowError, OSError) as exc:
+        # OSError: any other failed write of the output (a full disk, EIO)
         print(f"error: {exc}", file=sys.stderr)
         return EXIT_USAGE
     except AssertionError as exc:

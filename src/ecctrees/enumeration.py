@@ -195,6 +195,17 @@ class ExtremalityReport(_Record):
     unique_min_w: bool
     unique_max_n: bool
 
+    @property
+    def holds(self) -> bool:
+        """The main result for this sequence: the construction is the
+        unique Wiener minimiser and the unique subtree maximiser."""
+        return (
+            self.construction_is_min_w
+            and self.unique_min_w
+            and self.construction_is_max_n
+            and self.unique_max_n
+        )
+
     def to_dict(self) -> dict:
         return {
             "sequence": self.sequence.compact_str(),

@@ -62,10 +62,7 @@ def star(n):
 
 def test_criterion_1_main_result_verification():
     """Unique min-W / max-N at the construction, all sequences n <= 12."""
-    ok = True
-    for r in verify_all(MAIN_RESULT_MAX_N):
-        ok = ok and r.construction_is_min_w and r.unique_min_w
-        ok = ok and r.construction_is_max_n and r.unique_max_n
+    ok = all(r.holds for r in verify_all(MAIN_RESULT_MAX_N))
     report(f"1 main-result verification (n <= {MAIN_RESULT_MAX_N})", ok)
 
 

@@ -1,3 +1,4 @@
+import errno
 import io
 import json
 import os
@@ -15,6 +16,8 @@ import pytest
 import ecctrees
 from ecctrees import cli
 from ecctrees.cli import main
+from ecctrees.enumeration import verify_extremal
+from ecctrees.sequence import parse_sequence
 
 SRC = str(Path(ecctrees.__file__).parents[1])
 
@@ -274,17 +277,105 @@ class TestEachCommand:
             assert sorted(keys) == sorted(payload)
 
 
-class TestScripts:
-    def test_verify_main_result(self):
-        script = Path(__file__).parents[1] / "scripts" / "verify_main_result.py"
-        proc = subprocess.run(
-            [sys.executable, str(script), "--max-n", "8"],
-            capture_output=True,
-            text=True,
-            env=dict(os.environ, PYTHONPATH=SRC),
-        )
-        assert proc.returncode == 0, proc.stderr
-        assert proc.stdout.endswith("failures: 0\n")
+class TestVerifyEverySequence:
+    """verify without a sequence: every sequence up to --max-n vertices."""
+
+    def test_json_lines(self, capsys, schemas):
+        code, out, _ = run(capsys, "verify", "--max-n", "9", "--format", "json")
+        assert code == 0
+        rows = [json.loads(line) for line in out.splitlines()]
+        for row in rows:
+            jsonschema.validate(row, schemas["verify"])
+        orders = range(3, 10)
+        # F(n - 1) sequences and A000055(n) trees of each order n
+        assert [sum(r["n"] == n for r in rows) for n in orders] == [
+            1, 2, 3, 5, 8, 13, 21
+        ]
+        assert [
+            sum(r["trees_examined"] for r in rows if r["n"] == n) for n in orders
+        ] == [1, 2, 3, 6, 11, 23, 47]
+
+    def test_text_table(self, capsys):
+        code, out, _ = run(capsys, "verify", "--max-n", "7")
+        assert code == 0
+        assert out.splitlines()[0].split() == [
+            "1^1,2^2", "trees=", "1", "minW=", "4", "maxN=", "6", "ok"
+        ]
+        assert out.endswith("\nfailures: 0\n")
+
+    def test_a_failing_row_exits_2(self, capsys, monkeypatch):
+        r = verify_extremal(parse_sequence("2,3,3,4,4,4,4"))
+        fields = dict(zip(r._fields, r._values()), unique_min_w=False)
+        monkeypatch.setattr(cli, "verify_all", lambda max_n: [type(r)(**fields)])
+        code, out, _ = run(capsys, "verify")
+        assert code == 2
+        assert out.splitlines()[0].endswith(" FAIL")
+        assert out.endswith("\nfailures: 1\n")
+
+
+class TestClosedStdout:
+    """A reader that goes away (e.g. "| head") ends the run with exit 1 and
+    no message; any other failed write exits 1 with one "error:" line."""
+
+    @pytest.mark.parametrize(
+        "exc, err",
+        [
+            (BrokenPipeError(errno.EPIPE, "Broken pipe"), ""),
+            (
+                OSError(errno.ENOSPC, "No space left on device"),
+                "error: [Errno 28] No space left on device\n",
+            ),
+        ],
+        ids=["broken_pipe", "enospc"],
+    )
+    def test_write_raises(self, capsys, monkeypatch, exc, err):
+        class FailingStdout(io.StringIO):
+            def write(self, text):
+                raise exc
+
+        monkeypatch.setattr(sys, "stdout", FailingStdout())
+        assert run(capsys, "verify", "--max-n", "6") == (1, "", err)
+
+    def test_no_descriptor_leaks(self, capsys, monkeypatch):
+        """The devnull descriptor is closed once it is copied onto stdout,
+        so the lowest free descriptor is the same before and after."""
+        stdout_fd = os.dup(1)
+
+        class ClosedPipe(io.StringIO):
+            def write(self, text):
+                raise BrokenPipeError(32, "Broken pipe")
+
+            def fileno(self):
+                return stdout_fd
+
+        def lowest_free_fd():
+            fd = os.open(os.devnull, os.O_RDONLY)
+            os.close(fd)
+            return fd
+
+        monkeypatch.setattr(sys, "stdout", ClosedPipe())
+        try:
+            before = lowest_free_fd()
+            assert run(capsys, "verify", "1^1,2^2")[0] == 1
+            assert lowest_free_fd() == before
+        finally:
+            os.close(stdout_fd)
+
+    def test_closed_pipe(self):
+        read_end, write_end = os.pipe()
+        os.close(read_end)
+        try:
+            proc = subprocess.run(
+                [sys.executable, "-m", "ecctrees.cli", "verify", "1^1,2^2"],
+                stdout=write_end,
+                stderr=subprocess.PIPE,
+                text=True,
+                env=dict(os.environ, PYTHONPATH=SRC),
+            )
+        finally:
+            os.close(write_end)
+        assert proc.returncode == 1
+        assert proc.stderr == ""
 
 
 class TestUsage:

@@ -121,8 +121,7 @@ class TestVerifyExtremal:
         assert report.trees_examined == 2
         assert report.min_wiener == 46
         assert report.max_subtrees == 41
-        assert report.construction_is_min_w and report.unique_min_w
-        assert report.construction_is_max_n and report.unique_max_n
+        assert report.holds
         # the other realizer
         others = [
             t
