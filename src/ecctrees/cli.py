@@ -18,9 +18,9 @@ import sys
 from .enumeration import (
     DEFAULT_BUDGET,
     BudgetExceededError,
+    _verify_orders,
     audit_formulas,
     explore_conjecture,
-    verify_all,
     verify_extremal,
 )
 from .extremal import extremal_tree, max_subtrees_value, min_wiener_derivation
@@ -211,16 +211,19 @@ def _verify_every_sequence(args) -> int:
     """verify without a sequence: every sequence of a tree on 3..--max-n
     vertices, one JSON line or one table row each."""
     failures = 0
-    for r in verify_all(args.max_n):
-        failures += not r.holds
-        if args.format == "json":
-            sys.stdout.write(_dump_json(r.to_dict()))
-        else:
-            print(
-                f"{r.sequence.compact_str():28} trees={r.trees_examined:4} "
-                f"minW={r.min_wiener:6} maxN={count_text(r.max_subtrees):>10} "
-                f"{'ok' if r.holds else 'FAIL'}"
-            )
+    for reports in _verify_orders(args.max_n):
+        for r in reports:
+            failures += not r.holds
+            if args.format == "json":
+                sys.stdout.write(_dump_json(r.to_dict()))
+            else:
+                print(
+                    f"{r.sequence.compact_str():28} trees={r.trees_examined:4} "
+                    f"minW={r.min_wiener:6} maxN={count_text(r.max_subtrees):>10} "
+                    f"{'ok' if r.holds else 'FAIL'}"
+                )
+        # a reader sees each order's rows as soon as they are known
+        sys.stdout.flush()
     if args.format != "json":
         print(f"\nfailures: {failures}")
     return EXIT_DOMAIN if failures else EXIT_OK

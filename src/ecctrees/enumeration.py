@@ -33,7 +33,14 @@ from .sequence import (
     require_valid,
     validate_tree_sequence,
 )
-from .tree import Tree, _bfs_order, _Record, canonical_code, tree_to_text
+from .tree import (
+    Tree,
+    _bfs_order,
+    _Record,
+    _share_adjacency,
+    canonical_code,
+    tree_to_text,
+)
 
 LAMBDA_TOL = 1e-9  # relative tolerance for lambda-Wiener minimiser ties
 DEFAULT_BUDGET = 12
@@ -119,12 +126,22 @@ def free_trees(n: int) -> list[Tree]:
     """All pairwise nonisomorphic trees on n vertices, sorted by canonical
     code, from the in-house level-sequence generator.  The tests cross-check
     it against labelled enumeration plus dedup and, tree by tree, against a
-    reference implementation of the same algorithm."""
+    reference implementation of the same algorithm.  The trees share their
+    edge pairs and, through one table per call, their neighbour tuples."""
     if n < 1:
         raise ValueError("n must be >= 1")
-    trees = [Tree(n, edges) for edges in _free_tree_edges(n)]
+    table: dict[tuple[int, ...], tuple[int, ...]] = {}
+    trees = [_share_adjacency(Tree(n, edges), table) for edges in _free_tree_edges(n)]
     trees.sort(key=canonical_code)
     return trees
+
+
+def _raw_order(s: EccSequence) -> tuple:
+    """Sort key, O(l), that orders the sequences of one n as their raw
+    tuples do: the smaller b1 first, then the larger multiplicity at the
+    first place the two differ (its value repeats where the other's next
+    value starts)."""
+    return s.b1, tuple([-m for m in s.mult])
 
 
 def _trees_by_sequence(n: int) -> dict[EccSequence, list[Tree]]:
@@ -134,7 +151,7 @@ def _trees_by_sequence(n: int) -> dict[EccSequence, list[Tree]]:
     groups: dict[EccSequence, list[Tree]] = {}
     for t in free_trees(n):
         groups.setdefault(eccentric_sequence(t), []).append(t)
-    return dict(sorted(groups.items(), key=lambda item: item[0].raw))
+    return dict(sorted(groups.items(), key=lambda item: _raw_order(item[0])))
 
 
 def trees_with_sequence(s: EccSequence) -> list[Tree]:
@@ -156,7 +173,7 @@ def valid_sequences(max_n: int, min_n: int = 3) -> list[EccSequence]:
             # m_1 = 2, diameter 2*b1 - 1, l = b1 distinct values
             if b1 >= 2:
                 out.extend(_sequences_for(n, b1, m1=2, l=b1))
-    out.sort(key=lambda s: (s.n, s.raw))
+    out.sort(key=lambda s: (s.n, _raw_order(s)))
     return out
 
 
@@ -263,14 +280,21 @@ def verify_extremal(s: EccSequence, max_n: int = DEFAULT_BUDGET) -> ExtremalityR
     return _extremality_report(s, trees_with_sequence(s))
 
 
+def _verify_orders(max_n: int):
+    """For each order n = 3..max_n in turn, the list of verify_all's
+    reports on n vertices, yielded as soon as that order is done."""
+    for n in range(3, max_n + 1):
+        # no name holds the groups, so order n's trees are freed before the
+        # yield, not kept while order n + 1 is enumerated
+        yield [
+            _extremality_report(s, trees) for s, trees in _trees_by_sequence(n).items()
+        ]
+
+
 def verify_all(max_n: int) -> list[ExtremalityReport]:
     """verify_extremal for every sequence realized by a tree on 3..max_n
     vertices, ordered by (n, raw), enumerating each order once."""
-    return [
-        _extremality_report(s, trees)
-        for n in range(3, max_n + 1)
-        for s, trees in _trees_by_sequence(n).items()
-    ]
+    return [r for reports in _verify_orders(max_n) for r in reports]
 
 
 def _caterpillar_vectors(s: EccSequence):

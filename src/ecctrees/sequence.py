@@ -74,10 +74,23 @@ class EccSequence(_Record):
 
     @classmethod
     def from_json(cls, text: str) -> "EccSequence":
+        """The sequence to_json wrote: an object with exactly the keys b1,
+        an int, and mult, a list of ints (true and false are no ints here).
+        Any other text raises SequenceError."""
         import json
 
-        obj = json.loads(text)
-        return cls(obj["b1"], obj["mult"])
+        try:
+            obj = json.loads(text)
+        except (ValueError, RecursionError) as exc:
+            raise SequenceError(f"not JSON: {exc}") from None
+        if type(obj) is not dict or obj.keys() != {"b1", "mult"}:
+            raise SequenceError('expected an object with the keys "b1" and "mult"')
+        b1, mult = obj["b1"], obj["mult"]
+        if type(b1) is not int or type(mult) is not list:
+            raise SequenceError('"b1" must be an integer and "mult" a list')
+        if any(type(m) is not int for m in mult):
+            raise SequenceError('"mult" must hold integers only')
+        return cls(b1, mult)
 
 
 def _count_values(values) -> EccSequence:

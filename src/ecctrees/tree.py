@@ -10,6 +10,15 @@ from __future__ import annotations
 _set = object.__setattr__
 
 
+def _share_adjacency(t: Tree, table: dict) -> Tree:
+    """t with each neighbour tuple swapped for the equal one in table (a new
+    one is added), so the trees passed through one table store each
+    distinct neighbour list once.  The table should live for one batch of
+    trees only: it keeps every tuple it was given."""
+    _set(t, "adjacency", tuple(map(table.setdefault, t.adjacency, t.adjacency)))
+    return t
+
+
 class TreeError(ValueError):
     """Input does not describe a tree (wrong edge count, cycle, disconnection...)."""
 

@@ -16,7 +16,7 @@ import pytest
 import ecctrees
 from ecctrees import cli
 from ecctrees.cli import main
-from ecctrees.enumeration import verify_extremal
+from ecctrees.enumeration import _verify_orders, verify_extremal
 from ecctrees.sequence import parse_sequence
 
 SRC = str(Path(ecctrees.__file__).parents[1])
@@ -306,11 +306,41 @@ class TestVerifyEverySequence:
     def test_a_failing_row_exits_2(self, capsys, monkeypatch):
         r = verify_extremal(parse_sequence("2,3,3,4,4,4,4"))
         fields = dict(zip(r._fields, r._values()), unique_min_w=False)
-        monkeypatch.setattr(cli, "verify_all", lambda max_n: [type(r)(**fields)])
+        monkeypatch.setattr(cli, "_verify_orders", lambda max_n: [[type(r)(**fields)]])
         code, out, _ = run(capsys, "verify")
         assert code == 2
         assert out.splitlines()[0].endswith(" FAIL")
         assert out.endswith("\nfailures: 1\n")
+
+    def test_each_order_is_flushed_when_done(self, capsys, monkeypatch):
+        """The rows of orders 3..7 reach the reader before order 8 fails."""
+
+        class RecordingStdout(io.StringIO):
+            def __init__(self):
+                super().__init__()
+                self.flushed = []
+
+            def flush(self):
+                self.flushed.append(self.getvalue())
+
+        def orders_then_error(max_n):
+            for n, reports in enumerate(_verify_orders(max_n), start=3):
+                if n == 8:
+                    raise RuntimeError("order 8")
+                yield reports
+
+        stdout = RecordingStdout()
+        monkeypatch.setattr(sys, "stdout", stdout)
+        monkeypatch.setattr(cli, "_verify_orders", orders_then_error)
+        code, _, err = run(capsys, "verify", "--max-n", "9")
+        assert (code, err) == (3, "internal error: RuntimeError: order 8\n")
+        # one flush per order, each adding that order's F(n - 1) rows
+        assert [len(text.splitlines()) for text in stdout.flushed] == [1, 3, 6, 11, 19]
+        rows = stdout.flushed[-1].splitlines()
+        assert [parse_sequence(row.split()[0]).n for row in rows] == (
+            [3] + [4] * 2 + [5] * 3 + [6] * 5 + [7] * 8
+        )
+        assert stdout.getvalue() == stdout.flushed[-1]
 
 
 class TestClosedStdout:

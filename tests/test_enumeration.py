@@ -1,14 +1,22 @@
+import copy
 import os
+import pickle
 import subprocess
 import sys
+import weakref
 from pathlib import Path
 
 import pytest
 
 import ecctrees
+from ecctrees import enumeration
 from ecctrees.enumeration import (
     BudgetExceededError,
+    _compositions,
     _free_tree_edges,
+    _raw_order,
+    _trees_by_sequence,
+    _verify_orders,
     audit_formulas,
     caterpillars_with_sequence,
     count_caterpillars,
@@ -21,7 +29,7 @@ from ecctrees.enumeration import (
 )
 from ecctrees.extremal import extremal_tree
 from ecctrees.invariants import subtree_count
-from ecctrees.sequence import eccentric_sequence, parse_sequence
+from ecctrees.sequence import EccSequence, eccentric_sequence, parse_sequence
 from ecctrees.tree import Tree, canonical_code, is_caterpillar
 
 from .oracles import (
@@ -72,6 +80,23 @@ class TestFreeTrees:
         trees = free_trees(n)
         assert len({id(e) for t in trees for e in t.edges}) <= n * (n - 1) // 2
 
+    @pytest.mark.parametrize("n", range(8, 13))
+    def test_trees_of_one_order_share_neighbour_tuples(self, n):
+        """One tuple object per distinct neighbour list of the order."""
+        nbrs = [a for t in free_trees(n) for a in t.adjacency]
+        assert len({id(a) for a in nbrs}) == len(set(nbrs))
+
+    def test_shared_adjacency_equals_a_fresh_trees(self):
+        for n in range(1, 13):
+            for t in free_trees(n):
+                assert t.adjacency == Tree(n, t.edges).adjacency
+
+    def test_enumerated_tree_pickles_and_copies(self):
+        for t in free_trees(9):
+            for other in (pickle.loads(pickle.dumps(t)), copy.deepcopy(t)):
+                assert other == t
+                assert other.adjacency == t.adjacency
+
     def test_generator_matches_networkx(self):
         """Same labelled trees in the same order as networkx's generator,
         which implements the same algorithm (test-only oracle)."""
@@ -92,6 +117,30 @@ class TestFreeTrees:
             "sys.exit('networkx' in sys.modules)"
         )
         assert subprocess.run([sys.executable, "-c", code], env=env).returncode == 0
+
+
+class TestSequenceOrder:
+    """_raw_order sorts the sequences of one n as their expanded raw
+    tuples do, without expanding them."""
+
+    def test_every_composition_up_to_12(self):
+        for n in range(1, 13):
+            seqs = [
+                EccSequence(b1, mult)
+                for b1 in (1, 2, 5)
+                for parts in range(1, n + 1)
+                for mult in _compositions(n, parts, minimum=1)
+            ]
+            assert sorted(seqs, key=_raw_order) == sorted(seqs, key=lambda s: s.raw)
+
+    def test_valid_sequences_up_to_16(self):
+        seqs = valid_sequences(16)
+        assert seqs == sorted(seqs, key=lambda s: (s.n, s.raw))
+
+    def test_groups_of_one_order(self):
+        for n in range(3, 12):
+            keys = list(_trees_by_sequence(n))
+            assert keys == sorted(keys, key=lambda s: s.raw)
 
 
 class TestTreesWithSequence:
@@ -144,6 +193,25 @@ class TestVerifyExtremal:
     def test_main_result_up_to_12(self, reports_up_to_12):
         """The per-order sweep gives the per-sequence reports, in order."""
         assert reports_up_to_12 == [verify_extremal(s) for s in valid_sequences(12)]
+
+    def test_each_order_is_freed_before_the_next(self, monkeypatch):
+        """verify_all holds the trees of one order at a time."""
+
+        class Groups(dict):
+            pass
+
+        earlier = []
+
+        def tracked(n):
+            assert all(ref() is None for ref in earlier), n
+            groups = Groups(_trees_by_sequence(n))
+            earlier.append(weakref.ref(groups))
+            return groups
+
+        monkeypatch.setattr(enumeration, "_trees_by_sequence", tracked)
+        reports = [r for order in _verify_orders(9) for r in order]
+        assert len(earlier) == 7
+        assert reports == [verify_extremal(s) for s in valid_sequences(9)]
 
     def test_counts_per_order(self, reports_up_to_12):
         """Per order, the classes partition the free trees (A000055) and

@@ -49,6 +49,33 @@ class TestParse:
         assert json.loads(s.to_json()) == {"b1": 2, "mult": [1, 2, 2]}
         assert EccSequence.from_json(s.to_json()) == s
 
+    @pytest.mark.parametrize(
+        "text",
+        [
+            '{"b1": 1.5, "mult": [1, 2]}',
+            '{"b1": true, "mult": [1, 2]}',
+            '{"b1": 1, "mult": [1, true]}',
+            '{"b1": 1, "mult": [1, "2"]}',
+            '{"b1": 1, "mult": 3}',
+            '{"b1": 1, "mult": "12"}',
+            '{"b1": 1}',
+            '{"mult": [1, 2]}',
+            '{"b1": 1, "mult": [1, 2], "n": 3}',
+            "[1, 2]",
+            '"1,2,2"',
+            "null",
+            "1,2,2",
+            "",
+            pytest.param("[" * 100_000, id="deep-nesting"),
+            '{"b1": 0, "mult": [1, 2]}',
+            '{"b1": 1, "mult": []}',
+            '{"b1": 1, "mult": [1, 0]}',
+        ],
+    )
+    def test_from_json_rejects(self, text):
+        with pytest.raises(SequenceError):
+            EccSequence.from_json(text)
+
     @given(st.text() | st.text(alphabet="0123456789^,- "))
     def test_arbitrary_text(self, text):
         try:
