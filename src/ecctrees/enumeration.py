@@ -136,14 +136,6 @@ def free_trees(n: int) -> list[Tree]:
     return trees
 
 
-def _raw_order(s: EccSequence) -> tuple:
-    """Sort key, O(l), that orders the sequences of one n as their raw
-    tuples do: the smaller b1 first, then the larger multiplicity at the
-    first place the two differ (its value repeats where the other's next
-    value starts)."""
-    return s.b1, tuple([-m for m in s.mult])
-
-
 def _trees_by_sequence(n: int) -> dict[EccSequence, list[Tree]]:
     """The free trees on n vertices grouped by eccentric sequence, with the
     sequences in raw order.  Each group keeps the canonical-code order of
@@ -151,7 +143,7 @@ def _trees_by_sequence(n: int) -> dict[EccSequence, list[Tree]]:
     groups: dict[EccSequence, list[Tree]] = {}
     for t in free_trees(n):
         groups.setdefault(eccentric_sequence(t), []).append(t)
-    return dict(sorted(groups.items(), key=lambda item: _raw_order(item[0])))
+    return dict(sorted(groups.items(), key=lambda item: item[0].raw))
 
 
 def trees_with_sequence(s: EccSequence) -> list[Tree]:
@@ -173,7 +165,7 @@ def valid_sequences(max_n: int, min_n: int = 3) -> list[EccSequence]:
             # m_1 = 2, diameter 2*b1 - 1, l = b1 distinct values
             if b1 >= 2:
                 out.extend(_sequences_for(n, b1, m1=2, l=b1))
-    out.sort(key=lambda s: (s.n, _raw_order(s)))
+    out.sort(key=lambda s: (s.n, s.raw))
     return out
 
 

@@ -1,6 +1,4 @@
-import copy
 import os
-import pickle
 import subprocess
 import sys
 import weakref
@@ -12,9 +10,7 @@ import ecctrees
 from ecctrees import enumeration
 from ecctrees.enumeration import (
     BudgetExceededError,
-    _compositions,
     _free_tree_edges,
-    _raw_order,
     _trees_by_sequence,
     _verify_orders,
     audit_formulas,
@@ -29,7 +25,7 @@ from ecctrees.enumeration import (
 )
 from ecctrees.extremal import extremal_tree
 from ecctrees.invariants import subtree_count
-from ecctrees.sequence import EccSequence, eccentric_sequence, parse_sequence
+from ecctrees.sequence import eccentric_sequence, parse_sequence
 from ecctrees.tree import Tree, canonical_code, is_caterpillar
 
 from .oracles import (
@@ -91,12 +87,6 @@ class TestFreeTrees:
             for t in free_trees(n):
                 assert t.adjacency == Tree(n, t.edges).adjacency
 
-    def test_enumerated_tree_pickles_and_copies(self):
-        for t in free_trees(9):
-            for other in (pickle.loads(pickle.dumps(t)), copy.deepcopy(t)):
-                assert other == t
-                assert other.adjacency == t.adjacency
-
     def test_generator_matches_networkx(self):
         """Same labelled trees in the same order as networkx's generator,
         which implements the same algorithm (test-only oracle)."""
@@ -117,30 +107,6 @@ class TestFreeTrees:
             "sys.exit('networkx' in sys.modules)"
         )
         assert subprocess.run([sys.executable, "-c", code], env=env).returncode == 0
-
-
-class TestSequenceOrder:
-    """_raw_order sorts the sequences of one n as their expanded raw
-    tuples do, without expanding them."""
-
-    def test_every_composition_up_to_12(self):
-        for n in range(1, 13):
-            seqs = [
-                EccSequence(b1, mult)
-                for b1 in (1, 2, 5)
-                for parts in range(1, n + 1)
-                for mult in _compositions(n, parts, minimum=1)
-            ]
-            assert sorted(seqs, key=_raw_order) == sorted(seqs, key=lambda s: s.raw)
-
-    def test_valid_sequences_up_to_16(self):
-        seqs = valid_sequences(16)
-        assert seqs == sorted(seqs, key=lambda s: (s.n, s.raw))
-
-    def test_groups_of_one_order(self):
-        for n in range(3, 12):
-            keys = list(_trees_by_sequence(n))
-            assert keys == sorted(keys, key=lambda s: s.raw)
 
 
 class TestTreesWithSequence:

@@ -106,12 +106,13 @@ class TestLayout:
     def test_no_instance_dict(self):
         assert not hasattr(path(4), "__dict__")
 
-    def test_pickle_and_deepcopy_round_trip(self):
-        t = Tree(5, ((0, 1), (1, 2), (1, 3), (3, 4)))
-        for other in (pickle.loads(pickle.dumps(t)), copy.deepcopy(t)):
-            assert other == t
-            assert hash(other) == hash(t)
-            assert other.adjacency == t.adjacency
+    def test_pickle_and_deepcopy_round_trip(self, small_free_trees):
+        # the enumerated trees hold neighbour tuples shared across their order
+        for t in [Tree(5, ((0, 1), (1, 2), (1, 3), (3, 4))), *small_free_trees[9]]:
+            for other in (pickle.loads(pickle.dumps(t)), copy.deepcopy(t)):
+                assert other == t
+                assert hash(other) == hash(t)
+                assert other.adjacency == t.adjacency
 
 
 class TestPruefer:
