@@ -160,34 +160,26 @@ def valid_sequences(max_n: int, min_n: int = 3) -> list[EccSequence]:
     out = []
     for n in range(min_n, max_n + 1):
         for b1 in range(1, n):
-            # m_1 = 1, diameter 2*b1, l = b1 + 1 distinct values
-            out.extend(_sequences_for(n, b1, m1=1, l=b1 + 1))
-            # m_1 = 2, diameter 2*b1 - 1, l = b1 distinct values
-            if b1 >= 2:
-                out.extend(_sequences_for(n, b1, m1=2, l=b1))
+            # m_1 = 1: diameter 2*b1, l = b1 + 1 distinct values;
+            # m_1 = 2: diameter 2*b1 - 1, l = b1 distinct values
+            for m1, l in ((1, b1 + 1), (2, b1)):
+                for combo in _compositions(n - m1, l - 1):
+                    out.append(EccSequence(b1, (m1,) + combo))
     out.sort(key=lambda s: (s.n, s.raw))
     return out
 
 
-def _sequences_for(n: int, b1: int, m1: int, l: int) -> list[EccSequence]:
-    parts = l - 1
-    rest = n - m1
-    if parts < 1 or rest < 2 * parts:
-        return []
-    result = []
-    for combo in _compositions(rest, parts, minimum=2):
-        result.append(EccSequence(b1, (m1,) + combo))
-    return result
-
-
-def _compositions(total: int, parts: int, minimum: int = 0):
-    """Ordered compositions of total into parts entries, each >= minimum."""
+def _compositions(total: int, parts: int):
+    """Ordered compositions of total into parts entries, each >= 2; none
+    when parts < 1."""
+    if parts < 1:
+        return
     if parts == 1:
-        if total >= minimum:
+        if total >= 2:
             yield (total,)
         return
-    for first in range(minimum, total - minimum * (parts - 1) + 1):
-        for rest in _compositions(total - first, parts - 1, minimum):
+    for first in range(2, total - 2 * (parts - 1) + 1):
+        for rest in _compositions(total - first, parts - 1):
             yield (first,) + rest
 
 
@@ -466,7 +458,7 @@ def explore_conjecture(max_n: int, lambdas: tuple[float, ...]) -> ConjectureRepo
     for n in range(3, max_n + 1):
         for s, trees in _trees_by_sequence(n).items():
             construction_code = canonical_code(extremal_tree(s))
-            counts = [_distance_sums(t, sums=False)[0] for t in trees]
+            counts = [_distance_sums(t)[0] for t in trees]
             # hyper-Wiener: exact integers, exact ties
             indices = [("HW", [_hyper_wiener(c) for c in counts], True)]
             for lam in lambdas:

@@ -207,11 +207,8 @@ def max_subtrees_printed_detail(s: EccSequence) -> tuple[Fraction, bool]:
         for j in range(2, upper + 1):
             prod = Fraction(1)
             for i in range(0, p + 1):
-                idx = l + 1 - i - j
-                if idx < 1:
-                    truncated = True
-                    continue
-                prod *= pow2(m[idx] - 2) - 1
+                # l + 1 - i - j >= l + 1 - p - upper = 4 - m_1 >= 2
+                prod *= pow2(m[l + 1 - i - j] - 2) - 1
             total += prod
     return total, truncated
 

@@ -108,36 +108,21 @@ def _kronecker_product(a: list[int], b: list[int]) -> list[int]:
     coefficient of the product is at most sum(a) * sum(b), so w bytes hold
     it and no slot carries into the next.  w is rounded up to an array item
     size, 1, 2, 4 or 8 bytes, so that each list is packed, and the product
-    read back, in one call; the slots are little-endian, so the items are
-    byte-swapped on a big-endian host.  A tree's pair counts are below n^2,
-    so 8 bytes hold them for any tree that fits in memory; wider slots are
-    packed and read one at a time.
+    read back, in one call.  A tree's coefficient sums are at most n, so
+    8-byte slots hold every product for n < 2^32.  The slots are packed and
+    read in the host's byte order: on a big-endian host the read reverses
+    the coefficients of both factors and of the product alike, so every
+    slot still lands in place.
     """
     from array import array
 
     need = ((sum(a) * sum(b)).bit_length() + 7) // 8
     # the smallest unsigned array type holding need bytes (C orders the
-    # sizes of char, short, int, long and long long), if there is one
-    code = next((c for c in "BHILQ" if array(c).itemsize >= need), None)
-    w = array(code).itemsize if code else need
-    m = (len(a) + len(b) - 1) * w
-    if code is None:
-        pa, pb = [
-            int.from_bytes(b"".join([x.to_bytes(w, "little") for x in c]), "little")
-            for c in (a, b)
-        ]
-        buf = (pa * pb).to_bytes(m, "little")
-        return [int.from_bytes(buf[i : i + w], "little") for i in range(0, m, w)]
-    swap = sys.byteorder == "big"
-    pa, pb = [array(code, c) for c in (a, b)]
-    if swap:
-        pa.byteswap()
-        pb.byteswap()
-    product = int.from_bytes(pa, "little") * int.from_bytes(pb, "little")
-    slots = array(code, product.to_bytes(m, "little"))
-    if swap:
-        slots.byteswap()
-    return slots.tolist()
+    # sizes of char, short, int, long and long long)
+    code = next(c for c in "BHILQ" if array(c).itemsize >= need)
+    m = (len(a) + len(b) - 1) * array(code).itemsize
+    pa, pb = [int.from_bytes(array(code, c), sys.byteorder) for c in (a, b)]
+    return array(code, (pa * pb).to_bytes(m, sys.byteorder)).tolist()
 
 
 def _centroid(adjacency, removed, parent, size, order: list[int]) -> int:
@@ -157,11 +142,10 @@ def _centroid(adjacency, removed, parent, size, order: list[int]) -> int:
             return v
 
 
-def _distance_sums(t: Tree, sums: bool = True) -> tuple[list[int], int, int, int, int]:
-    """The number of unordered vertex pairs at each distance d (0 at d = 0)
-    and, if sums, the Schultz and Gutman indices, the sum of all
-    vertex-to-edge distances and the edge Wiener index, by centroid
-    decomposition.
+def _distance_sums(t: Tree) -> tuple[list[int], int, int, int, int]:
+    """The number of unordered vertex pairs at each distance d (0 at d = 0),
+    the Schultz and Gutman indices, the sum of all vertex-to-edge distances
+    and the edge Wiener index, by centroid decomposition.
 
     A component is split at its centroid c into branches, one per
     neighbour x of c, each taken by one BFS from x that gives every vertex
@@ -199,7 +183,7 @@ def _distance_sums(t: Tree, sums: bool = True) -> tuple[list[int], int, int, int
     """
     n = t.n
     adjacency = t.adjacency
-    deg = t.degrees() if sums else None
+    deg = t.degrees()
     counts = [0] * n
     schultz = gutman = vertex_edge = edge_ends = 0
     removed = bytearray(n)
@@ -231,11 +215,9 @@ def _distance_sums(t: Tree, sums: bool = True) -> tuple[list[int], int, int, int
             hist = [0] * depth[order[-1]]
             for v in order:
                 hist[depth[v] - 1] += 1
-            db = gb = gdb = 0
-            if sums:
-                db = sum([d * k for d, k in enumerate(hist, 1)])
-                gb = sum([deg[v] for v in order])
-                gdb = sum([deg[v] * depth[v] for v in order])
+            db = sum([d * k for d, k in enumerate(hist, 1)])
+            gb = sum([deg[v] for v in order])
+            gdb = sum([deg[v] * depth[v] for v in order])
             if len(order) > 1:  # a lone vertex has no pairs left to count
                 stack.append(_centroid(adjacency, removed, parent, size, order))
             branches.append((len(hist), hist, len(order), db, gb, gdb))
@@ -252,19 +234,18 @@ def _distance_sums(t: Tree, sums: bool = True) -> tuple[list[int], int, int, int
             reach += [0] * (height + 1 - len(reach))
             for d, k in enumerate(hist, 1):
                 reach[d] += k
-        if sums:
-            N = 1 + sum([b[2] for b in branches])
-            D = sum([b[3] for b in branches])
-            G = deg[c] + sum([b[4] for b in branches])
-            GD = sum([b[5] for b in branches])
-            schultz += N * GD + D * G
-            gutman += GD * G
-            for _, _, nb, db, gb, gdb in branches:
-                schultz -= nb * gdb + db * gb
-                gutman -= gdb * gb
-                vertex_edge += (N - nb) * (db - nb) + (D - db) * nb + db - nb
-                edge_ends += (G - gb) * (db - nb) + (GD - gdb) * nb + gdb - gb
-    edge_wiener = (edge_ends - (n - 1) * (n - 2)) // 4 if sums else 0
+        N = 1 + sum([b[2] for b in branches])
+        D = sum([b[3] for b in branches])
+        G = deg[c] + sum([b[4] for b in branches])
+        GD = sum([b[5] for b in branches])
+        schultz += N * GD + D * G
+        gutman += GD * G
+        for _, _, nb, db, gb, gdb in branches:
+            schultz -= nb * gdb + db * gb
+            gutman -= gdb * gb
+            vertex_edge += (N - nb) * (db - nb) + (D - db) * nb + db - nb
+            edge_ends += (G - gb) * (db - nb) + (GD - gdb) * nb + gdb - gb
+    edge_wiener = (edge_ends - (n - 1) * (n - 2)) // 4
     return counts, schultz, gutman, vertex_edge, edge_wiener
 
 
@@ -313,13 +294,13 @@ def gutman(t: Tree) -> int:
 
 def hyper_wiener(t: Tree) -> int:
     """Sum of binom(1 + d(u,v), 2) over unordered pairs."""
-    return _hyper_wiener(_distance_sums(t, sums=False)[0])
+    return _hyper_wiener(_distance_sums(t)[0])
 
 
 def wiener_lambda(t: Tree, lam: float) -> float:
     """Sum of d(u,v)**lambda over unordered pairs; lambda must be finite and
     nonzero.  OverflowError when a power or the sum is not a finite float."""
-    return _wiener_lambda(_distance_sums(t, sums=False)[0], lam)
+    return _wiener_lambda(_distance_sums(t)[0], lam)
 
 
 class InvariantReport(_Record):

@@ -215,8 +215,6 @@ def parse_tree(text: str) -> Tree:
         raise TreeParseError(f"expected {n - 1} edges, got {len(edges)}")
     try:
         return Tree(n, tuple(edges))
-    except TreeParseError:
-        raise
     except TreeError as exc:
         raise TreeParseError(str(exc))
 
@@ -390,8 +388,6 @@ def tree_from_pruefer(seq: tuple[int, ...], n: int | None = None) -> Tree:
             raise TreeError(f"Pruefer label {v} out of range 0..{n - 1}")
     if n == 1:
         return Tree(1, ())
-    if n == 2:
-        return Tree(2, ((0, 1),))
     degree = [1] * n
     for v in seq:
         degree[v] += 1

@@ -95,10 +95,10 @@ def gutman_bruteforce(t: Tree) -> int:
     return sum(dm[u][v] * t.degree(u) * t.degree(v) for u, v in _vertex_pairs(t))
 
 
-def vertex_pass_rows(t: Tree, sums: bool = True) -> tuple[list[int], int, int, int, int]:
+def vertex_pass_rows(t: Tree) -> tuple[list[int], int, int, int, int]:
     """The distance kernel's tuple from one BFS row per vertex: the number
-    of unordered pairs at each distance d (0 at d = 0) and, if sums, the
-    Schultz and Gutman indices, the sum of all vertex-to-edge distances and
+    of unordered pairs at each distance d (0 at d = 0), the Schultz and
+    Gutman indices, the sum of all vertex-to-edge distances and
     the edge Wiener index.  Every pair is met from both ends.
 
     The edge Wiener index comes from near(v), the sum over the edges (x, y)
@@ -113,13 +113,12 @@ def vertex_pass_rows(t: Tree, sums: bool = True) -> tuple[list[int], int, int, i
         row = distances_from(t, v)
         for d in row:
             counts[d] += 1
-        if sums:
-            schultz += deg[v] * sum(row)
-            gutman += deg[v] * sum([du * d for du, d in zip(deg, row)])
-            near = sum([row[a] if row[a] < row[b] else row[b] for a, b in t.edges])
-            vertex_edge += near
-            edge_ends += deg[v] * near
-    edge_wiener = (edge_ends - (n - 1) * (n - 2)) // 4 if sums else 0
+        schultz += deg[v] * sum(row)
+        gutman += deg[v] * sum([du * d for du, d in zip(deg, row)])
+        near = sum([row[a] if row[a] < row[b] else row[b] for a, b in t.edges])
+        vertex_edge += near
+        edge_ends += deg[v] * near
+    edge_wiener = (edge_ends - (n - 1) * (n - 2)) // 4
     return (
         [0] + [c // 2 for c in counts[1:]],
         schultz,

@@ -103,8 +103,9 @@ class TestExtremal:
         assert Decimal(out.splitlines()[-1].removeprefix("N=")) == expected
 
     def test_invalid_sequence(self, capsys):
-        code, _, _ = run(capsys, "extremal", "2,3,4,4")
-        assert code == 2
+        _, validate_line, _ = run(capsys, "validate", "2,3,4,4")
+        for command in ("extremal", "verify"):
+            assert run(capsys, command, "2,3,4,4")[:2] == (2, validate_line)
 
     @pytest.mark.parametrize("fmt", ["text", "json"])
     def test_order_past_cap_exits_before_building(self, capsys, monkeypatch, fmt):
@@ -424,7 +425,8 @@ class TestUsage:
         assert run(capsys, "audit", "--max-n", "2")[0] == 1
 
     def test_bad_lambda(self, capsys):
-        assert run(capsys, "explore", "--max-n", "5", "--lambda", "0")[0] == 1
+        for lam in ("0", "a"):
+            assert run(capsys, "explore", "--max-n", "5", "--lambda", lam)[0] == 1
 
     @pytest.mark.parametrize("lam", ["nan", "inf", "-inf", "1,nan"])
     def test_non_finite_lambda(self, capsys, tmp_path, lam):

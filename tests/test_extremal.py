@@ -312,5 +312,7 @@ class TestDecomposition:
         assert dec.d_sizes() == (4, 1, 0)
 
     def test_invalid_ends_rejected(self):
-        with pytest.raises(ValueError):
-            CaterpillarDecomposition((0, 1, 1))
+        # a missing end pendant, no position, a negative count
+        for c in [(0, 1, 1), (), (1, -1, 1)]:
+            with pytest.raises(ValueError):
+                CaterpillarDecomposition(c)

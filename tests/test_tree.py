@@ -62,9 +62,11 @@ class TestParse:
         assert t.edges == ((0, 1), (1, 2))
 
     def test_out_of_range_reports_line(self):
-        with pytest.raises(TreeParseError) as exc:
-            parse_tree("3\n0 1\n1 5")
-        assert exc.value.line == 3
+        # out of range, non-integer, self-loop
+        for text, line in [("3\n0 1\n1 5", 3), ("3\n0 x\n1 2", 2), ("3\n0 1\n\n2 2", 4)]:
+            with pytest.raises(TreeParseError) as exc:
+                parse_tree(text)
+            assert exc.value.line == line
 
     def test_duplicate_edge(self):
         with pytest.raises(TreeParseError):
@@ -82,8 +84,16 @@ class TestParse:
             pass
 
     def test_disconnected(self):
-        with pytest.raises(TreeError):
-            Tree(4, ((0, 1), (2, 3), (0, 1)))
+        # disconnected, no vertex, n - 2 edges, out of range, self-loop
+        for n, edges in [
+            (4, ((0, 1), (2, 3), (0, 1))),
+            (0, ()),
+            (4, ((0, 1), (1, 2))),
+            (3, ((0, 1), (1, 3))),
+            (3, ((0, 1), (2, 2))),
+        ]:
+            with pytest.raises(TreeError):
+                Tree(n, edges)
 
 
 class TestLayout:
@@ -118,12 +128,20 @@ class TestLayout:
 class TestPruefer:
     @pytest.mark.parametrize(
         "seq, n",
-        [((5,), 3), ((0, 0, 0), 4), ((0,), 2)],
-        ids=["label-out-of-range", "too-long", "too-long-for-an-edge"],
+        [((5,), 3), ((0, 0, 0), 4), ((0,), 2), ((), 0)],
+        ids=["label-out-of-range", "too-long", "too-long-for-an-edge", "no-vertex"],
     )
     def test_malformed_input_is_tree_error(self, seq, n):
         with pytest.raises(TreeError):
             tree_from_pruefer(seq, n)
+
+    @pytest.mark.parametrize(
+        "args, tree",
+        [(((), 1), Tree(1, ())), (((),), path(2)), (((0, 0),), star(4))],
+        ids=["single-vertex", "single-edge", "4-star"],
+    )
+    def test_smallest_trees(self, args, tree):
+        assert tree_from_pruefer(*args) == tree
 
 
 class TestDistances:
