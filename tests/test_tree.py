@@ -135,13 +135,10 @@ class TestPruefer:
         with pytest.raises(TreeError):
             tree_from_pruefer(seq, n)
 
-    @pytest.mark.parametrize(
-        "args, tree",
-        [(((), 1), Tree(1, ())), (((),), path(2)), (((0, 0),), star(4))],
-        ids=["single-vertex", "single-edge", "4-star"],
-    )
-    def test_smallest_trees(self, args, tree):
-        assert tree_from_pruefer(*args) == tree
+    def test_smallest_trees(self):
+        assert tree_from_pruefer((), 1) == Tree(1, ())
+        assert tree_from_pruefer(()) == path(2)
+        assert tree_from_pruefer((0, 0)) == star(4)
 
 
 class TestDistances:
