@@ -8,7 +8,8 @@ same eccentric sequence.
 
 A move also keeps the canonical diametral path a..b of _diametral_path (a
 the lowest-id vertex farthest from 0, b the lowest-id one farthest from a).
-The tests check this; caterpillarize does not rely on it yet.  Let U be the
+caterpillarize relies on this: it finds the path once and takes every move
+from it.  The tests check the lemma.  Let U be the
 vertices below u, R the v_{j+1} side of the edge v_j v_{j+1}, and the path
 oriented so that j >= d/2 (j >= 2, as u has a child).  The move changes only
 the distances from U to u (up by 2) and from U to R (down by 2): each moved
@@ -55,7 +56,11 @@ def find_move(t: Tree) -> RewriteMove | None:
     lexicographically smallest is taken; when its pivot sits on the near half
     (j < d/2) the path numbering is reversed so that j >= d/2.
     """
-    path = _diametral_path(t)
+    return _move_on(t, _diametral_path(t))
+
+
+def _move_on(t: Tree, path: tuple[int, ...]) -> RewriteMove | None:
+    """find_move given t's canonical diametral path, which a move keeps."""
     d = len(path) - 1
     on_path = set(path)
     candidate = None
@@ -105,9 +110,13 @@ def _reattach(t: Tree, m: RewriteMove) -> Tree:
 
 
 def caterpillarize(t: Tree) -> Tree:
-    """Iterate the rewrite move to a fixed point (a caterpillar)."""
+    """Iterate the rewrite move to a fixed point (a caterpillar).
+
+    The diametral path is found once: a move keeps it (module docstring).
+    """
+    path = _diametral_path(t)
     while True:
-        m = find_move(t)
+        m = _move_on(t, path)
         if m is None:
             return t
         t = _reattach(t, m)

@@ -115,17 +115,22 @@ class TestCaterpillarize:
 
         def counted(t):
             calls.append(t)
-            return find_move(t)
+            return _diametral_path(t)
 
-        monkeypatch.setattr(ecctrees.rewrite, "find_move", counted)
-        for t in seeded_random_trees(30, max_n=60, seed=2):
-            looped, moves = t, 0
+        monkeypatch.setattr(ecctrees.rewrite, "_diametral_path", counted)
+        trees = (
+            seeded_random_trees(30, max_n=60, seed=2)
+            + seeded_random_trees(3, max_n=499, seed=22, min_n=200)
+            + seeded_random_trees(1, max_n=500, seed=1, min_n=500)
+        )
+        for t in trees:
+            looped = t
             while (m := find_move(looped)) is not None:
                 looped = apply_move(looped, m)
-                moves += 1
             calls.clear()
             assert caterpillarize(t) == looped
-            assert len(calls) == moves + 1
+            # the path is found once: a move keeps it
+            assert len(calls) == 1
 
     @settings(max_examples=100, deadline=None)
     @given(random_trees(min_n=3, max_n=14))
