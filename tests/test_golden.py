@@ -32,19 +32,20 @@ def _pruefer_trees():
     ]
 
 
-def _cli(*argv):
-    def output(capsys, tmp_path):
-        assert main(list(argv)) == 0
-        return capsys.readouterr().out
+def _stdout(capsys, *argv):
+    assert main(list(argv)) == 0
+    return capsys.readouterr().out
 
-    return output
+
+def _cli(*argv):
+    return lambda capsys, tmp_path: _stdout(capsys, *argv)
 
 
 def _invariants(capsys, tmp_path):
     tree_file = tmp_path / "pruefer.tree"
     tree_file.write_text(tree_to_text(_pruefer_trees()[0]))
-    return _cli("invariants", str(tree_file), "--lambda", "1,2,3", "--format", "json")(
-        capsys, tmp_path
+    return _stdout(
+        capsys, "invariants", str(tree_file), "--lambda", "1,2,3", "--format", "json"
     )
 
 
