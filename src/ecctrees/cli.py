@@ -9,7 +9,7 @@ any other unexpected error.
 
 from __future__ import annotations
 
-# json and argparse, like fractions and decimal in the other modules, are
+# json and argparse, like the deferred imports of the other modules, are
 # imported by the functions that use them, so that importing the package
 # loads none of them
 import math
@@ -18,13 +18,13 @@ import sys
 from .enumeration import (
     DEFAULT_BUDGET,
     BudgetExceededError,
+    _checked_construction,
     _verify_orders,
     audit_formulas,
     explore_conjecture,
     verify_extremal,
 )
-from .extremal import extremal_tree, max_subtrees_value, min_wiener_derivation
-from .invariants import count_text, invariant_report, subtree_count, wiener
+from .invariants import count_text, invariant_report
 from .sequence import SequenceError, parse_sequence, validate_tree_sequence
 from .tree import TreeError, parse_tree, tree_to_text
 
@@ -147,12 +147,7 @@ def cmd_extremal(args) -> int:
         raise BudgetExceededError(
             f"sequence order {s.n} exceeds the extremal order cap {EXTREMAL_MAX_N}"
         )
-    t = extremal_tree(s)
-    w = min_wiener_derivation(s)
-    nsub = max_subtrees_value(s)
-    if w != wiener(t) or nsub != subtree_count(t):
-        print("internal error: closed form disagrees with oracle", file=sys.stderr)
-        return EXIT_INTERNAL
+    t, w, nsub = _checked_construction(s)
     if args.format == "json":
         payload = {
             "sequence": s.compact_str(),

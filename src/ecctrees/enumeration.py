@@ -9,10 +9,10 @@ from itertools import product
 from .extremal import (
     CaterpillarDecomposition,
     build_caterpillar,
-    caterpillar_subtree_closed_form,
     extremal_decomposition,
     extremal_tree,
     max_subtrees_printed_detail,
+    max_subtrees_value,
     min_wiener_derivation,
     min_wiener_printed,
     printed_wiener_delta,
@@ -154,11 +154,11 @@ def trees_with_sequence(s: EccSequence) -> list[Tree]:
     return _trees_by_sequence(s.n).get(s, [])
 
 
-def valid_sequences(max_n: int, min_n: int = 3) -> list[EccSequence]:
-    """All valid tree eccentric sequences with min_n <= n <= max_n,
+def valid_sequences(max_n: int) -> list[EccSequence]:
+    """All valid tree eccentric sequences with 3 <= n <= max_n,
     generated directly from the compact-form characterisation."""
     out = []
-    for n in range(min_n, max_n + 1):
+    for n in range(3, max_n + 1):
         for b1 in range(1, n):
             # m_1 = 1: diameter 2*b1, l = b1 + 1 distinct values;
             # m_1 = 2: diameter 2*b1 - 1, l = b1 distinct values
@@ -371,47 +371,50 @@ class AuditReport(_Record):
         }
 
 
-def audit_formulas(max_n: int) -> AuditReport:
-    """Compare printed theorem formulas against oracles for every valid
-    sequence up to max_n: wiener (edge contributions, independent of the
-    derivation's layer sums) and subtree_count, on the extremal tree.
+def _checked_construction(s: EccSequence) -> tuple[Tree, int, int]:
+    """The extremal tree of a valid s with its W and N from the closed forms
+    (the derivation and the subtree decomposition), each checked against
+    the oracle on the tree: wiener (edge contributions, independent of the
+    derivation's layer sums) and subtree_count.  A mismatch raises
+    AssertionError naming s."""
+    t = extremal_tree(s)
+    w = min_wiener_derivation(s)
+    if w != wiener(t):
+        raise AssertionError(
+            f"derivation Wiener formula disagrees with oracle on {s.compact_str()}"
+        )
+    nsub = max_subtrees_value(s)
+    if nsub != subtree_count(t):
+        raise AssertionError(
+            f"subtree decomposition disagrees with oracle on {s.compact_str()}"
+        )
+    return t, w, nsub
 
-    The derivation-based Wiener formula and the subtree decomposition are hard
-    requirements: a mismatch with the oracle raises.  The printed formulas are
-    only reported, with their deltas.
-    """
+
+def audit_formulas(max_n: int) -> AuditReport:
+    """Compare printed theorem formulas against the oracles for every valid
+    sequence up to max_n.  The closed forms must equal the oracles
+    (_checked_construction raises otherwise), so the oracle and closed-form
+    fields of a row agree; the printed formulas are only reported, with
+    their deltas."""
     rows = []
     for s in valid_sequences(max_n):
-        t = extremal_tree(s)
-        oracle_w = wiener(t)
-        derivation_w = min_wiener_derivation(s)
-        if derivation_w != oracle_w:
-            raise AssertionError(
-                f"derivation Wiener formula disagrees with oracle on {s.compact_str()}"
-            )
-        oracle_n = subtree_count(t)
-        decomposition_n = caterpillar_subtree_closed_form(extremal_decomposition(s))
-        if decomposition_n != oracle_n:
-            raise AssertionError(
-                f"subtree decomposition disagrees with oracle on {s.compact_str()}"
-            )
+        _, w, nsub = _checked_construction(s)
         printed_w = min_wiener_printed(s)
         printed_n, truncated = max_subtrees_printed_detail(s)
         rows.append(
             AuditRow(
                 sequence=s,
                 n=s.n,
-                oracle_w=oracle_w,
-                derivation_w=derivation_w,
+                oracle_w=w,
+                derivation_w=w,
                 printed_w=printed_w,
-                delta_w=derivation_w - printed_w,
-                delta_w_identity_ok=(
-                    derivation_w - printed_w == printed_wiener_delta(s)
-                ),
-                oracle_n=oracle_n,
-                decomposition_n=decomposition_n,
+                delta_w=w - printed_w,
+                delta_w_identity_ok=w - printed_w == printed_wiener_delta(s),
+                oracle_n=nsub,
+                decomposition_n=nsub,
                 printed_n=printed_n,
-                delta_n=oracle_n - printed_n,
+                delta_n=nsub - printed_n,
                 printed_n_truncated=truncated,
             )
         )

@@ -1,8 +1,8 @@
 """Distance-based tree invariants: Wiener index and its variants, subtree counts.
 
-Every integer-valued index is computed exactly; the vertex-edge Wiener index is
-kept as an exact Fraction internally (it carries a 1/2 factor) and the
-lambda-Wiener family is the only floating-point quantity.
+Every integer-valued index is computed exactly, the vertex-edge Wiener index
+included (half a sum that is even on a tree); the lambda-Wiener family is the
+only floating-point quantity.
 
 The other distance indices come from one centroid-decomposition kernel,
 _distance_sums: O(n log n) BFS vertex visits in O(n) memory, plus one exact
@@ -22,8 +22,8 @@ from math import comb, isfinite
 
 from .tree import Tree, _bfs_order, _Record
 
-# fractions, decimal and array are imported by the functions that use them,
-# so that importing the package loads none of them
+# decimal and array are imported by the functions that use them, so that
+# importing the package loads neither
 
 
 def _subtree_sizes(order, parent, size) -> None:
@@ -275,11 +275,19 @@ def edge_wiener_line(t: Tree) -> int:
     return edge_wiener(t) + comb(len(t.edges), 2)
 
 
-def vertex_edge_wiener(t: Tree) -> Fraction:
-    """Half the sum of all vertex-to-edge distances, exact."""
-    from fractions import Fraction
+def _half_vertex_edge(total: int) -> int:
+    """The vertex-edge Wiener index from the sum of all vertex-to-edge
+    distances.  On a tree that sum is 2W - n(n-1), so it is even; an odd
+    one is a kernel defect and raises AssertionError, under python -O too."""
+    half, odd = divmod(total, 2)
+    if odd:
+        raise AssertionError(f"vertex-to-edge distance sum {total} is odd")
+    return half
 
-    return Fraction(_distance_sums(t)[3], 2)
+
+def vertex_edge_wiener(t: Tree) -> int:
+    """Half the sum of all vertex-to-edge distances."""
+    return _half_vertex_edge(_distance_sums(t)[3])
 
 
 def schultz(t: Tree) -> int:
@@ -309,7 +317,7 @@ class InvariantReport(_Record):
     subtrees: int
     edge_wiener: int
     edge_wiener_line: int
-    vertex_edge_wiener: Fraction
+    vertex_edge_wiener: int
     schultz: int
     gutman: int
     hyper_wiener: int
@@ -317,17 +325,13 @@ class InvariantReport(_Record):
     relation_residuals: dict[str, int]
 
     def to_dict(self) -> dict:
-        if self.vertex_edge_wiener.denominator != 1:
-            raise AssertionError(
-                f"vertex-edge Wiener index {self.vertex_edge_wiener} is not an integer"
-            )
         return {
             "n": self.n,
             "wiener": self.wiener,
             "subtrees": count_text(self.subtrees),
             "edge_wiener": self.edge_wiener,
             "edge_wiener_line": self.edge_wiener_line,
-            "vertex_edge_wiener": int(self.vertex_edge_wiener),
+            "vertex_edge_wiener": self.vertex_edge_wiener,
             "schultz": self.schultz,
             "gutman": self.gutman,
             "hyper_wiener": self.hyper_wiener,
@@ -340,19 +344,20 @@ def invariant_report(t: Tree, lambdas: tuple[float, ...] = ()) -> InvariantRepor
     """All invariants of one tree plus residuals of the tree-only relations.
 
     The residuals are zero for every tree; nonzero values would flag a defect
-    in one of the computations.
+    in one of the computations.  Four are checks: the edge, vertex-edge,
+    Schultz and Gutman indices against their closed forms in W.  The
+    edge_wiener_line residual restates that index's definition, W_e plus
+    binom(n - 1, 2), so it is 0 by construction.
     """
-    from fractions import Fraction
-
     n = t.n
     w = wiener(t)
     counts, wp, wm, vertex_edge, we = _distance_sums(t)
-    wve = Fraction(vertex_edge, 2)
+    wve = _half_vertex_edge(vertex_edge)
     wel = we + comb(len(t.edges), 2)
     residuals = {
         "edge_wiener": we - (w - (n - 1) ** 2),
         "edge_wiener_line": wel - we - comb(n - 1, 2),
-        "vertex_edge_wiener": int(wve - (w - Fraction(n * (n - 1), 2))),
+        "vertex_edge_wiener": wve - (w - n * (n - 1) // 2),
         "schultz": wp - (4 * w - n * (n - 1)),
         "gutman": wm - (4 * w - (n - 1) * (2 * n - 1)),
     }

@@ -150,14 +150,6 @@ class Tree(_Record):
         if len(_bfs_order(self, 0)[0]) != self.n:
             raise TreeError("graph is disconnected (hence cyclic)")
 
-    def __eq__(self, other):
-        if other.__class__ is not self.__class__:
-            return NotImplemented
-        return self.n == other.n and self.edges == other.edges
-
-    def __hash__(self):
-        return hash((self.n, self.edges))
-
     def degree(self, v: int) -> int:
         return len(self.adjacency[v])
 

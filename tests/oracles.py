@@ -9,7 +9,9 @@ one-child-at-a-time product over a rooted order, free-tree
 counts by labelled (Pruefer) enumeration plus canonical dedup, canonical codes
 by recursive AHU at the centers found from the brute-force eccentricities, the
 backbone by a walk over core degrees, and the rewrite move from separate
-searches for the diametral path and for each side of the pivot.
+searches for the diametral path and for each side of the pivot, and the
+caterpillar that caterpillarize reaches from where each vertex hangs off
+that path.
 
 The caterpillars of a sequence come from filtering every composition of the
 pendants over the backbone, and the two caterpillar closed forms from their
@@ -359,14 +361,20 @@ def _path_between(t: Tree, a: int, b: int) -> tuple[int, ...]:
     return tuple(reversed(path))
 
 
+def _canonical_diametral_path(t: Tree) -> tuple[int, ...]:
+    """The path from a, the lowest-id vertex farthest from 0, to b, the
+    lowest-id vertex farthest from a."""
+    da = distances_from(t, 0)
+    a = da.index(max(da))
+    db = distances_from(t, a)
+    return _path_between(t, a, db.index(max(db)))
+
+
 def find_move_by_components(t: Tree) -> RewriteMove | None:
     """The rewrite move as specified in ecctrees.rewrite.find_move: the
     diametral path between the lowest-id farthest vertices, the first
     off-path non-pendant neighbour along it, U and R by reachability."""
-    da = distances_from(t, 0)
-    a = da.index(max(da))
-    db = distances_from(t, a)
-    path = _path_between(t, a, db.index(max(db)))
+    path = _canonical_diametral_path(t)
     on_path = set(path)
     candidates = [
         (j, u)
@@ -391,3 +399,23 @@ def find_move_by_components(t: Tree) -> RewriteMove | None:
         detached=detached,
         right=frozenset(_reach(t, path[j + 1], {vj}) - detached),
     )
+
+
+def caterpillarize_closed_form(t: Tree) -> Tree:
+    """The caterpillar that the move loop reaches, read off t without any
+    move.  With the canonical diametral path v_0..v_d, an off-path vertex at depth
+    h below v_j ends as a leaf of v_{j+h-1} if 2j >= d and of v_{j-h+1}
+    otherwise: each move carries the vertices below u one step along the
+    path, away from its middle, and a vertex stops once it is a leaf."""
+    path = _canonical_diametral_path(t)
+    d = len(path) - 1
+    on_path = set(path)
+    edges = list(zip(path, path[1:]))
+    for j, vj in enumerate(path):
+        step = 1 if 2 * j >= d else -1
+        depth = distances_from(t, vj)
+        for u in t.adjacency[vj]:
+            if u not in on_path:
+                for x in _reach(t, u, {vj}):
+                    edges.append((path[j + step * (depth[x] - 1)], x))
+    return Tree(t.n, tuple(edges))

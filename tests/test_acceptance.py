@@ -2,11 +2,10 @@
 line.  Everything here is exact; the only tolerances are the documented
 floating-point ones for the lambda-Wiener family.
 
-Criterion 1 runs at n <= 12 by default; set ECCTREES_ACCEPTANCE_MAX_N=14 to
-extend it (about 0.6 s at 14 and 3 s at 16 on a 2-core x86-64 machine).
+Criterion 1 runs at n <= 12; `ecctrees verify --max-n K` checks it up to
+any K through the same runner and exits 2 if a sequence fails.
 """
 
-import os
 from fractions import Fraction
 from math import comb
 
@@ -44,7 +43,7 @@ from ecctrees.tree import Tree, canonical_code, eccentricities, is_caterpillar
 from .conftest import seeded_random_trees
 from .oracles import wiener_bruteforce
 
-MAIN_RESULT_MAX_N = int(os.environ.get("ECCTREES_ACCEPTANCE_MAX_N", "12"))
+MAIN_RESULT_MAX_N = 12
 
 
 def report(criterion, ok):

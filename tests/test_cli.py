@@ -14,9 +14,9 @@ import jsonschema
 import pytest
 
 import ecctrees
-from ecctrees import cli
+from ecctrees import cli, enumeration
 from ecctrees.cli import main
-from ecctrees.enumeration import _verify_orders, verify_extremal
+from ecctrees.enumeration import _verify_orders, audit_formulas, verify_extremal
 from ecctrees.sequence import parse_sequence
 
 SRC = str(Path(ecctrees.__file__).parents[1])
@@ -112,7 +112,7 @@ class TestExtremal:
         def build(s):
             raise RuntimeError(f"built order {s.n}")
 
-        monkeypatch.setattr(cli, "extremal_tree", build)
+        monkeypatch.setattr(enumeration, "extremal_tree", build)
         huge = "1^1,2^1000000000000"
         start = time.perf_counter()
         code, out, err = run(capsys, "extremal", huge, "--format", fmt)
@@ -128,6 +128,20 @@ class TestExtremal:
         code, _, err = run(capsys, "extremal", f"1^1,2^{m}", "--format", fmt)
         assert code == 3
         assert err.endswith(f"built order {cli.EXTREMAL_MAX_N}\n")
+
+    @pytest.mark.parametrize("closed_form", ["min_wiener_derivation", "max_subtrees_value"])
+    def test_closed_form_off_the_oracle_exits_3(self, capsys, monkeypatch, closed_form):
+        """extremal and audit share one check of the closed forms against
+        wiener and subtree_count; a wrong closed form fails both."""
+        right = getattr(enumeration, closed_form)
+        monkeypatch.setattr(enumeration, closed_form, lambda s: right(s) + 1)
+        code, out, err = run(capsys, "extremal", "2,3,3,4,4", "--format", "json")
+        assert code == 3 and out == ""
+        assert err.startswith("internal assertion failed: ")
+        assert err.endswith(" disagrees with oracle on 2^1,3^2,4^2\n")
+        assert err.count("\n") == 1
+        with pytest.raises(AssertionError, match="disagrees with oracle on 1\\^1,2\\^2$"):
+            audit_formulas(5)
 
 
 class TestSequenceFromStdin:

@@ -26,7 +26,7 @@ from ecctrees.enumeration import (
 from ecctrees.extremal import extremal_tree
 from ecctrees.invariants import subtree_count
 from ecctrees.sequence import eccentric_sequence, parse_sequence
-from ecctrees.tree import Tree, canonical_code, is_caterpillar
+from ecctrees.tree import Tree, canonical_code, eccentricities, is_caterpillar
 
 from .oracles import (
     caterpillars_by_filter,
@@ -70,6 +70,17 @@ class TestFreeTrees:
     def test_bad_n(self):
         with pytest.raises(ValueError):
             free_trees(0)
+
+    def test_vertex_0_is_a_centre(self):
+        """Vertex 0, the root of the level sequence, has the least
+        eccentricity, on all 5 447 trees with n <= 14."""
+        trees = 0
+        for n in range(1, 15):
+            for t in free_trees(n):
+                ecc = eccentricities(t)
+                assert ecc[0] == min(ecc)
+                trees += 1
+        assert trees == 5447
 
     @pytest.mark.parametrize("n", [8, 9, 10])
     def test_trees_of_one_order_share_edge_objects(self, n):
@@ -226,8 +237,9 @@ class TestCaterpillarCounting:
         # Harary & Schwenk (1973): n >= 4 vertices carry
         # 2^(n-4) + 2^(floor(n/2)-2) caterpillars
         totals = dict.fromkeys(range(4, 21), 0)
-        for s in valid_sequences(20, min_n=4):
-            totals[s.n] += count_caterpillars(s)
+        for s in valid_sequences(20):
+            if s.n >= 4:
+                totals[s.n] += count_caterpillars(s)
         assert totals == {n: 2 ** (n - 4) + 2 ** (n // 2 - 2) for n in range(4, 21)}
 
     def test_invalid_sequence_has_none(self):

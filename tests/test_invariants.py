@@ -390,11 +390,11 @@ class TestReport:
             if n < 2:
                 continue
             for t in trees:
-                assert vertex_edge_wiener(t).denominator == 1
+                assert type(vertex_edge_wiener(t)) is int
 
     def test_to_dict_subtrees_beyond_int_str_limit(self):
         big = 2**15000 + 15000  # 4 516 digits; str(int) stops at 4 300
-        report = InvariantReport(15001, 0, big, 0, 0, Fraction(0), 0, 0, 0, {}, {})
+        report = InvariantReport(15001, 0, big, 0, 0, 0, 0, 0, 0, {}, {})
         assert Decimal(report.to_dict()["subtrees"]) == big
 
     def test_count_text_on_either_side_of_int_str_limit(self):
@@ -404,12 +404,12 @@ class TestReport:
             assert count_text(count) == str(Decimal(count))
         assert len(count_text(10**4300)) == 4301
 
-    def test_to_dict_rejects_half_integer_under_optimize(self):
-        """The integrality check survives python -O, which strips asserts."""
+    def test_odd_vertex_edge_sum_rejected_under_optimize(self):
+        """The evenness check of the vertex-to-edge distance sum survives
+        python -O, which strips asserts."""
         code = (
-            "from fractions import Fraction\n"
-            "from ecctrees.invariants import InvariantReport\n"
-            "InvariantReport(1, 0, 1, 0, 0, Fraction(1, 2), 0, 0, 0, {}, {}).to_dict()\n"
+            "from ecctrees.invariants import _half_vertex_edge\n"
+            "_half_vertex_edge(3)\n"
         )
         proc = subprocess.run(
             [sys.executable, "-O", "-c", code],

@@ -30,7 +30,7 @@ RECORDS = {
     ),
     "EccSequence": (
         lambda k: ec.EccSequence(2, (1, 2 + k)),
-        "EccSequence(b1=2, _mult=(1, 2))",
+        "EccSequence(b1=2, mult=(1, 2))",
     ),
     "ValidationResult": (
         lambda k: ec.ValidationResult(False, "CondI" if k == 0 else "CondII"),
@@ -43,11 +43,11 @@ RECORDS = {
     "InvariantReport": (
         lambda k: ec.InvariantReport(
             n=3, wiener=4 + k, subtrees=6, edge_wiener=0, edge_wiener_line=1,
-            vertex_edge_wiener=Fraction(2), schultz=8, gutman=4, hyper_wiener=5,
+            vertex_edge_wiener=2, schultz=8, gutman=4, hyper_wiener=5,
             wiener_lambda={1.0: 4.0}, relation_residuals={"schultz": 0},
         ),
         "InvariantReport(n=3, wiener=4, subtrees=6, edge_wiener=0, "
-        "edge_wiener_line=1, vertex_edge_wiener=Fraction(2, 1), schultz=8, "
+        "edge_wiener_line=1, vertex_edge_wiener=2, schultz=8, "
         "gutman=4, hyper_wiener=5, wiener_lambda={1.0: 4.0}, "
         "relation_residuals={'schultz': 0})",
     ),
@@ -66,7 +66,7 @@ RECORDS = {
             max_subtrees_achievers=(b"((()())(()))",), construction_is_min_w=True,
             construction_is_max_n=True, unique_min_w=True, unique_max_n=True,
         ),
-        "ExtremalityReport(sequence=EccSequence(b1=2, _mult=(1, 2, 2)), n=5, "
+        "ExtremalityReport(sequence=EccSequence(b1=2, mult=(1, 2, 2)), n=5, "
         "trees_examined=1, min_wiener=18, min_wiener_achievers=(b'((()())(()))',), "
         "max_subtrees=16, max_subtrees_achievers=(b'((()())(()))',), "
         "construction_is_min_w=True, construction_is_max_n=True, "
@@ -79,7 +79,7 @@ RECORDS = {
             printed_n=Fraction(33, 2), delta_n=Fraction(-1, 2),
             printed_n_truncated=False,
         ),
-        "AuditRow(sequence=EccSequence(b1=2, _mult=(1, 2, 2)), n=5, oracle_w=18, "
+        "AuditRow(sequence=EccSequence(b1=2, mult=(1, 2, 2)), n=5, oracle_w=18, "
         "derivation_w=18, printed_w=18, delta_w=0, delta_w_identity_ok=True, "
         "oracle_n=16, decomposition_n=16, printed_n=Fraction(33, 2), "
         "delta_n=Fraction(-1, 2), printed_n_truncated=False)",
@@ -93,7 +93,7 @@ RECORDS = {
             sequence=S, index="HW", minimizers=(b"(()())",),
             construction_is_min=k == 0, unique_min=True, counterexamples=(),
         ),
-        "ConjectureRow(sequence=EccSequence(b1=2, _mult=(1, 2, 2)), index='HW', "
+        "ConjectureRow(sequence=EccSequence(b1=2, mult=(1, 2, 2)), index='HW', "
         "minimizers=(b'(()())',), construction_is_min=True, unique_min=True, "
         "counterexamples=())",
     ),
@@ -156,7 +156,7 @@ def test_constructor_arguments():
             ec.ValidationResult(*args, **kwargs)
     with pytest.raises(TypeError):
         ec.Backbone((1,))
-    assert ec.EccSequence(b1=2, _mult=[1, 2]) == ec.EccSequence(2, (1, 2))
+    assert ec.EccSequence(b1=2, mult=[1, 2]) == ec.EccSequence(2, (1, 2))
 
 
 # stdlib modules that only running a command may load, not the import
@@ -183,3 +183,30 @@ def test_cli_import_leaves_out_dataclasses():
     added = set(proc.stdout.split())
     assert "ecctrees.cli" in added
     assert not added & set(DEFERRED)
+
+
+def test_invariants_command_leaves_out_fractions_and_decimal(tmp_path):
+    """The vertex-edge Wiener index is an int, so ecctrees invariants loads
+    neither fractions nor decimal (a subtree count this short needs no
+    Decimal)."""
+    star = tmp_path / "star.tree"
+    star.write_text("4\n0 1\n0 2\n0 3\n")
+    code = (
+        "import sys\n"
+        "before = set(sys.modules)\n"
+        "from ecctrees.cli import main\n"
+        "code = main(['invariants', sys.argv[1], '--format', 'json'])\n"
+        "print(*sorted(set(sys.modules) - before), file=sys.stderr)\n"
+        "sys.exit(code)\n"
+    )
+    src = str(Path(ec.__file__).parents[1])
+    proc = subprocess.run(
+        [sys.executable, "-c", code, str(star)],
+        env=dict(os.environ, PYTHONPATH=src),
+        capture_output=True,
+        text=True,
+        check=True,
+    )
+    added = set(proc.stderr.split())
+    assert {"ecctrees.cli", "json", "argparse"} <= added
+    assert not added & {"fractions", "decimal"}

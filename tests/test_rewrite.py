@@ -11,7 +11,12 @@ from ecctrees.sequence import eccentric_sequence
 from ecctrees.tree import Tree, _diametral_path, is_caterpillar
 
 from .conftest import random_trees, seeded_random_trees
-from .oracles import find_move_by_components, relabel, wiener_bruteforce
+from .oracles import (
+    caterpillarize_closed_form,
+    find_move_by_components,
+    relabel,
+    wiener_bruteforce,
+)
 
 
 SPIDER = Tree(7, ((0, 1), (1, 2), (0, 3), (3, 4), (0, 5), (5, 6)))
@@ -128,9 +133,21 @@ class TestCaterpillarize:
             while (m := find_move(looped)) is not None:
                 looped = apply_move(looped, m)
             calls.clear()
-            assert caterpillarize(t) == looped
+            assert caterpillarize(t) == looped == caterpillarize_closed_form(t)
             # the path is found once: a move keeps it
             assert len(calls) == 1
+
+    def test_matches_closed_form_up_to_12(self):
+        """Each vertex's final place is read off where it hangs off the
+        diametral path (caterpillarize_closed_form), on every tree with
+        n <= 12, as generated and under a relabelling."""
+        rng = random.Random(12)
+        for n in range(1, 13):
+            for t in free_trees(n):
+                perm = list(range(n))
+                rng.shuffle(perm)
+                for u in (t, relabel(t, perm)):
+                    assert caterpillarize(u) == caterpillarize_closed_form(u)
 
     @settings(max_examples=100, deadline=None)
     @given(random_trees(min_n=3, max_n=14))

@@ -208,6 +208,20 @@ class TestEccentricities:
         ecc = eccentricities(t)
         assert max(ecc) <= 2 * min(ecc)
 
+    def test_distance_to_the_centre(self):
+        """Jordan: ecc(v) = rad + d(v, C), C the one or two centres, on
+        every tree with n <= 12."""
+        from ecctrees.enumeration import free_trees
+
+        for n in range(1, 13):
+            for t in free_trees(n):
+                ecc = ecc_bruteforce(t)
+                rad = min(ecc)
+                rows = [distances_from(t, c) for c in range(n) if ecc[c] == rad]
+                assert len(rows) <= 2
+                for v in range(n):
+                    assert ecc[v] == rad + min(row[v] for row in rows)
+
 
 class TestBackbone:
     def test_path(self):
