@@ -223,19 +223,27 @@ class ExtremalityReport(_Record):
         }
 
 
+def _optimum(trees: list[Tree], values: list, tol=0):
+    """The least of values, one per tree of a class in canonical-code order,
+    with the trees whose value is at most best * (1 + tol) + tol, in that
+    order, and their canonical codes.  The default int tol keeps int values
+    exact; a float tol assumes best >= 0.  For a maximum, pass the negated
+    values: the best comes back negated."""
+    best = min(values)
+    cutoff = best * (1 + tol) + tol
+    winners = [t for t, value in zip(trees, values) if value <= cutoff]
+    return best, winners, tuple(canonical_code(t) for t in winners)
+
+
 def _extremality_report(s: EccSequence, trees: list[Tree]) -> ExtremalityReport:
     """Check the construction against trees, the realizers of s in
     canonical-code order, so the achievers come out in that order too."""
     rooted = [_bfs_order(t, 0) for t in trees]
-    ws = [_wiener_rooted(order, parent) for order, parent in rooted]
-    nsubs = [_subtrees_rooted(order, parent) for order, parent in rooted]
-    min_w = min(ws)
-    max_nsub = max(nsubs)
-    min_achievers = tuple(
-        canonical_code(t) for t, w in zip(trees, ws) if w == min_w
+    min_w, _, min_achievers = _optimum(
+        trees, [_wiener_rooted(order, parent) for order, parent in rooted]
     )
-    max_achievers = tuple(
-        canonical_code(t) for t, nsub in zip(trees, nsubs) if nsub == max_nsub
+    neg_max_nsub, _, max_achievers = _optimum(
+        trees, [-_subtrees_rooted(order, parent) for order, parent in rooted]
     )
     construction_code = canonical_code(extremal_tree(s))
     return ExtremalityReport(
@@ -244,7 +252,7 @@ def _extremality_report(s: EccSequence, trees: list[Tree]) -> ExtremalityReport:
         trees_examined=len(trees),
         min_wiener=min_w,
         min_wiener_achievers=min_achievers,
-        max_subtrees=max_nsub,
+        max_subtrees=-neg_max_nsub,
         max_subtrees_achievers=max_achievers,
         construction_is_min_w=construction_code in min_achievers,
         construction_is_max_n=construction_code in max_achievers,
@@ -463,34 +471,22 @@ def explore_conjecture(max_n: int, lambdas: tuple[float, ...]) -> ConjectureRepo
             construction_code = canonical_code(extremal_tree(s))
             counts = [_distance_sums(t)[0] for t in trees]
             # hyper-Wiener: exact integers, exact ties
-            indices = [("HW", [_hyper_wiener(c) for c in counts], True)]
+            indices = [("HW", [_hyper_wiener(c) for c in counts], 0)]
             for lam in lambdas:
                 wl = [_wiener_lambda(c, lam) for c in counts]
-                indices.append((f"lambda={lam:g}", wl, False))
-            for index, values, exact in indices:
+                indices.append((f"lambda={lam:g}", wl, LAMBDA_TOL))
+            for index, values, tol in indices:
+                _, winners, codes = _optimum(trees, values, tol)
+                is_min = construction_code in codes
+                files = () if is_min else tuple(tree_to_text(t) for t in winners)
                 rows.append(
-                    _conjecture_row(s, index, trees, values, construction_code, exact)
+                    ConjectureRow(
+                        sequence=s,
+                        index=index,
+                        minimizers=codes,
+                        construction_is_min=is_min,
+                        unique_min=len(codes) == 1,
+                        counterexamples=files,
+                    )
                 )
     return ConjectureReport(max_n=max_n, lambdas=tuple(lambdas), rows=tuple(rows))
-
-
-def _conjecture_row(s, index, trees, values, construction_code, exact):
-    best = min(values)
-    if exact:
-        winners = [t for t, value in zip(trees, values) if value == best]
-    else:
-        cutoff = best * (1 + LAMBDA_TOL) + LAMBDA_TOL
-        winners = [t for t, value in zip(trees, values) if value <= cutoff]
-    codes = tuple(canonical_code(t) for t in winners)
-    is_min = construction_code in codes
-    counterexamples = ()
-    if not is_min:
-        counterexamples = tuple(tree_to_text(t) for t in winners)
-    return ConjectureRow(
-        sequence=s,
-        index=index,
-        minimizers=codes,
-        construction_is_min=is_min,
-        unique_min=len(codes) == 1,
-        counterexamples=counterexamples,
-    )

@@ -344,19 +344,16 @@ def invariant_report(t: Tree, lambdas: tuple[float, ...] = ()) -> InvariantRepor
     """All invariants of one tree plus residuals of the tree-only relations.
 
     The residuals are zero for every tree; nonzero values would flag a defect
-    in one of the computations.  Four are checks: the edge, vertex-edge,
-    Schultz and Gutman indices against their closed forms in W.  The
-    edge_wiener_line residual restates that index's definition, W_e plus
-    binom(n - 1, 2), so it is 0 by construction.
+    in one of the computations.  Each checks an index summed from its
+    definition (edge, vertex-edge, Schultz, Gutman) against its closed form
+    in W.
     """
     n = t.n
     w = wiener(t)
     counts, wp, wm, vertex_edge, we = _distance_sums(t)
     wve = _half_vertex_edge(vertex_edge)
-    wel = we + comb(len(t.edges), 2)
     residuals = {
         "edge_wiener": we - (w - (n - 1) ** 2),
-        "edge_wiener_line": wel - we - comb(n - 1, 2),
         "vertex_edge_wiener": wve - (w - n * (n - 1) // 2),
         "schultz": wp - (4 * w - n * (n - 1)),
         "gutman": wm - (4 * w - (n - 1) * (2 * n - 1)),
@@ -366,7 +363,7 @@ def invariant_report(t: Tree, lambdas: tuple[float, ...] = ()) -> InvariantRepor
         wiener=w,
         subtrees=subtree_count(t),
         edge_wiener=we,
-        edge_wiener_line=wel,
+        edge_wiener_line=we + comb(len(t.edges), 2),
         vertex_edge_wiener=wve,
         schultz=wp,
         gutman=wm,

@@ -9,8 +9,11 @@ import pytest
 import ecctrees
 from ecctrees import enumeration
 from ecctrees.enumeration import (
+    LAMBDA_TOL,
     BudgetExceededError,
+    _extremality_report,
     _free_tree_edges,
+    _optimum,
     _trees_by_sequence,
     _verify_orders,
     audit_formulas,
@@ -26,7 +29,13 @@ from ecctrees.enumeration import (
 from ecctrees.extremal import extremal_tree
 from ecctrees.invariants import subtree_count
 from ecctrees.sequence import eccentric_sequence, parse_sequence
-from ecctrees.tree import Tree, canonical_code, eccentricities, is_caterpillar
+from ecctrees.tree import (
+    Tree,
+    canonical_code,
+    eccentricities,
+    is_caterpillar,
+    tree_to_text,
+)
 
 from .oracles import (
     caterpillars_by_filter,
@@ -201,6 +210,62 @@ class TestVerifyExtremal:
             assert len(order) == fib[n - 2]
 
 
+SEVEN = seq("2,3,3,4,4,4,4")
+
+
+def seven_vertex_class():
+    """The construction and the other realizer of 2,3,3,4,4,4,4."""
+    construction = extremal_tree(SEVEN)
+    code = canonical_code(construction)
+    (other,) = [t for t in trees_with_sequence(SEVEN) if canonical_code(t) != code]
+    return construction, other
+
+
+class TestOptimum:
+    """The one rule by which verify and explore pick a class's extremes."""
+
+    def test_exact_ties_keep_every_tied_tree_in_class_order(self):
+        trees = free_trees(6)[:4]
+        best, winners, codes = _optimum(trees, [5, 3, 4, 3])
+        assert best == 3
+        assert winners == [trees[1], trees[3]]
+        assert codes == (canonical_code(trees[1]), canonical_code(trees[3]))
+
+    def test_ints_past_float_precision_do_not_tie(self):
+        trees = free_trees(5)[:2]
+        big = 2**60
+        assert float(big + 2) == float(big + 1) == float(big)
+        best, winners, _ = _optimum(trees, [big + 2, big + 1])
+        assert best == big + 1
+        assert winners == [trees[1]]
+
+    def test_lambda_tolerance(self):
+        trees = free_trees(5)
+        values = [10.0, 10.0 * (1 + LAMBDA_TOL / 2), 10.0 + 1e-6]
+        best, winners, _ = _optimum(trees, values, LAMBDA_TOL)
+        assert best == 10.0
+        assert winners == trees[:2]
+
+    def test_maximum_through_negated_values(self):
+        trees = free_trees(5)
+        best, winners, _ = _optimum(trees, [-3, -7, -5])
+        assert -best == 7
+        assert winners == [trees[1]]
+
+    @pytest.mark.parametrize(
+        "members,in_class,unique",
+        [((1,), False, True), ((0, 1, 0), True, False), ((1, 1), False, False)],
+    )
+    def test_synthetic_class_flags(self, members, in_class, unique):
+        """By the theorem every real class has the construction as its one
+        optimum, so only a made-up class reaches the other flag values."""
+        pair = seven_vertex_class()
+        report = _extremality_report(SEVEN, [pair[i] for i in members])
+        assert report.construction_is_min_w == report.construction_is_max_n == in_class
+        assert report.unique_min_w == report.unique_max_n == unique
+        assert not report.holds
+
+
 class TestCaterpillarCounting:
     @pytest.mark.parametrize(
         "text,count",
@@ -296,3 +361,19 @@ class TestExplore:
                 assert row.counterexamples == ()
             else:
                 assert row.counterexamples
+
+    def test_synthetic_class_lists_the_winners_as_counterexamples(
+        self, monkeypatch
+    ):
+        _, other = seven_vertex_class()
+        monkeypatch.setattr(
+            enumeration,
+            "_trees_by_sequence",
+            lambda n: {SEVEN: [other, other]} if n == 7 else {},
+        )
+        rows = explore_conjecture(7, (2.0, -1.0)).rows
+        assert [r.index for r in rows] == ["HW", "lambda=2", "lambda=-1"]
+        for row in rows:
+            assert row.minimizers == (canonical_code(other),) * 2
+            assert not row.construction_is_min and not row.unique_min
+            assert row.counterexamples == (tree_to_text(other),) * 2

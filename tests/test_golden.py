@@ -55,6 +55,9 @@ OUTPUTS = {
     "explore --max-n 12 --lambda 1,2,3": _cli(
         "explore", "--max-n", "12", "--lambda", "1,2,3", "--format", "json"
     ),
+    "explore --max-n 10 --lambda=-1,-2": _cli(
+        "explore", "--max-n", "10", "--lambda=-1,-2", "--format", "json"
+    ),
     "valid_sequences(22)": lambda capsys, tmp_path: "\n".join(
         s.compact_str() for s in valid_sequences(22)
     ),
