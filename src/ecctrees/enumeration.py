@@ -136,14 +136,20 @@ def free_trees(n: int) -> list[Tree]:
     return trees
 
 
+def _sequence_order(s: EccSequence) -> tuple:
+    """Sort key of the expanded sequences' order, by n, then lexicographic:
+    b1 ascending, then each multiplicity descending (longer runs go first)."""
+    return s.n, s.b1, tuple([-m for m in s.mult])
+
+
 def _trees_by_sequence(n: int) -> dict[EccSequence, list[Tree]]:
     """The free trees on n vertices grouped by eccentric sequence, with the
-    sequences in raw order.  Each group keeps the canonical-code order of
-    free_trees."""
+    sequences in _sequence_order.  Each group keeps the canonical-code order
+    of free_trees."""
     groups: dict[EccSequence, list[Tree]] = {}
     for t in free_trees(n):
         groups.setdefault(eccentric_sequence(t), []).append(t)
-    return dict(sorted(groups.items(), key=lambda item: item[0].raw))
+    return {s: groups[s] for s in sorted(groups, key=_sequence_order)}
 
 
 def trees_with_sequence(s: EccSequence) -> list[Tree]:
@@ -155,8 +161,8 @@ def trees_with_sequence(s: EccSequence) -> list[Tree]:
 
 
 def valid_sequences(max_n: int) -> list[EccSequence]:
-    """All valid tree eccentric sequences with 3 <= n <= max_n,
-    generated directly from the compact-form characterisation."""
+    """All valid tree eccentric sequences with 3 <= n <= max_n, generated
+    directly from the compact-form characterisation, in _sequence_order."""
     out = []
     for n in range(3, max_n + 1):
         for b1 in range(1, n):
@@ -165,7 +171,7 @@ def valid_sequences(max_n: int) -> list[EccSequence]:
             for m1, l in ((1, b1 + 1), (2, b1)):
                 for combo in _compositions(n - m1, l - 1):
                     out.append(EccSequence(b1, (m1,) + combo))
-    out.sort(key=lambda s: (s.n, s.raw))
+    out.sort(key=_sequence_order)
     return out
 
 
@@ -225,12 +231,13 @@ class ExtremalityReport(_Record):
 
 def _optimum(trees: list[Tree], values: list, tol=0):
     """The least of values, one per tree of a class in canonical-code order,
-    with the trees whose value is at most best * (1 + tol) + tol, in that
+    with the trees whose value is at most best + |best| * tol + tol, in that
     order, and their canonical codes.  The default int tol keeps int values
-    exact; a float tol assumes best >= 0.  For a maximum, pass the negated
-    values: the best comes back negated."""
+    exact; a float tol holds for either sign of best.  For a maximum, pass
+    the negated values: the best comes back negated."""
     best = min(values)
-    cutoff = best * (1 + tol) + tol
+    # for best >= 0, bit for bit the cutoff behind the golden digests
+    cutoff = best * (1 + tol if best >= 0 else 1 - tol) + tol
     winners = [t for t, value in zip(trees, values) if value <= cutoff]
     return best, winners, tuple(canonical_code(t) for t in winners)
 
@@ -285,7 +292,7 @@ def _verify_orders(max_n: int):
 
 def verify_all(max_n: int) -> list[ExtremalityReport]:
     """verify_extremal for every sequence realized by a tree on 3..max_n
-    vertices, ordered by (n, raw), enumerating each order once."""
+    vertices, in valid_sequences' order, enumerating each order once."""
     return [r for reports in _verify_orders(max_n) for r in reports]
 
 
@@ -324,12 +331,10 @@ class AuditRow(_Record):
     sequence: EccSequence
     n: int
     oracle_w: int
-    derivation_w: int
     printed_w: int
     delta_w: int
     delta_w_identity_ok: bool
     oracle_n: int
-    decomposition_n: int
     printed_n: Fraction
     delta_n: Fraction
     printed_n_truncated: bool
@@ -343,16 +348,17 @@ class AuditRow(_Record):
         return self.delta_n == 0
 
     def to_dict(self) -> dict:
+        # the closed-form keys repeat the oracles: _checked_construction checked them
         return {
             "sequence": self.sequence.compact_str(),
             "n": self.n,
             "oracle_W": self.oracle_w,
-            "derivation_W": self.derivation_w,
+            "derivation_W": self.oracle_w,
             "printed_W": self.printed_w,
             "delta_W": self.delta_w,
             "delta_W_identity_ok": self.delta_w_identity_ok,
             "oracle_N": count_text(self.oracle_n),
-            "decomposition_N": count_text(self.decomposition_n),
+            "decomposition_N": count_text(self.oracle_n),
             "printed_N": str(self.printed_n),
             "delta_N": str(self.delta_n),
             "printed_N_truncated": self.printed_n_truncated,
@@ -402,9 +408,8 @@ def _checked_construction(s: EccSequence) -> tuple[Tree, int, int]:
 def audit_formulas(max_n: int) -> AuditReport:
     """Compare printed theorem formulas against the oracles for every valid
     sequence up to max_n.  The closed forms must equal the oracles
-    (_checked_construction raises otherwise), so the oracle and closed-form
-    fields of a row agree; the printed formulas are only reported, with
-    their deltas."""
+    (_checked_construction raises otherwise), so one field of a row holds
+    both; the printed formulas are only reported, with their deltas."""
     rows = []
     for s in valid_sequences(max_n):
         _, w, nsub = _checked_construction(s)
@@ -415,12 +420,10 @@ def audit_formulas(max_n: int) -> AuditReport:
                 sequence=s,
                 n=s.n,
                 oracle_w=w,
-                derivation_w=w,
                 printed_w=printed_w,
                 delta_w=w - printed_w,
                 delta_w_identity_ok=w - printed_w == printed_wiener_delta(s),
                 oracle_n=nsub,
-                decomposition_n=nsub,
                 printed_n=printed_n,
                 delta_n=nsub - printed_n,
                 printed_n_truncated=truncated,

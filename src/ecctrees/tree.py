@@ -238,18 +238,13 @@ def _bfs_order(t: Tree, root: int, skip: int = -1) -> tuple[list[int], list[int]
 
 
 def distances_from(t: Tree, v: int) -> list[int]:
-    """Hop distances from v to every vertex, by BFS."""
+    """Hop distances from v to every vertex, read off the BFS order from v."""
     if not 0 <= v < t.n:
         raise TreeError(f"vertex id {v} out of range 0..{t.n - 1}")
-    dist = [-1] * t.n
-    dist[v] = 0
-    queue = [v]
-    for x in queue:
-        dx = dist[x] + 1
-        for y in t.adjacency[x]:
-            if dist[y] < 0:
-                dist[y] = dx
-                queue.append(y)
+    order, parent = _bfs_order(t, v)
+    dist = [0] * t.n
+    for w in order[1:]:
+        dist[w] = dist[parent[w]] + 1
     return dist
 
 

@@ -246,6 +246,16 @@ class TestOptimum:
         assert best == 10.0
         assert winners == trees[:2]
 
+    def test_lambda_tolerance_below_zero(self):
+        """A negated float maximum keeps its best and the ties within
+        LAMBDA_TOL above it."""
+        trees = free_trees(5)
+        values = [-10.0, -10.0 * (1 - LAMBDA_TOL / 2), -10.0 + 1e-6]
+        best, winners, _ = _optimum(trees, values, LAMBDA_TOL)
+        assert best == -10.0
+        assert winners == trees[:2]
+        assert _optimum(trees[:2], [-5.0, -4.0], 1e-9)[1] == trees[:1]
+
     def test_maximum_through_negated_values(self):
         trees = free_trees(5)
         best, winners, _ = _optimum(trees, [-3, -7, -5])
@@ -325,8 +335,6 @@ class TestAudit:
         assert row.printed_n == 25
         star_row = rows[(1, 2, 2, 2)]
         assert star_row.printed_n == star_row.oracle_n == 11
-        assert all(r.derivation_w == r.oracle_w for r in report.rows)
-        assert all(r.decomposition_n == r.oracle_n for r in report.rows)
         assert all(r.delta_w_identity_ok for r in report.rows)
 
     def test_mismatching_summary(self):

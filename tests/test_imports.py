@@ -1,6 +1,8 @@
-"""Every module of the package uses each name it imports at module level.
+"""Every module of the package uses each name it imports at module level,
+and none holds an assert statement.
 
-The package's __init__.py is exempt: its imports are the re-exported API.
+The package's __init__.py is exempt from the import check: its imports are
+the re-exported API.
 """
 
 import ast
@@ -8,9 +10,8 @@ from pathlib import Path
 
 import ecctrees
 
-MODULES = sorted(
-    p for p in Path(ecctrees.__file__).parent.glob("*.py") if p.name != "__init__.py"
-)
+PACKAGE = sorted(Path(ecctrees.__file__).parent.glob("*.py"))
+MODULES = [p for p in PACKAGE if p.name != "__init__.py"]
 
 
 def _unused_imports(source: str) -> list[str]:
@@ -29,3 +30,14 @@ def test_no_unused_module_level_imports():
     assert len(MODULES) > 5
     unused = {p.name: _unused_imports(p.read_text()) for p in MODULES}
     assert {name: names for name, names in unused.items() if names} == {}
+
+
+def test_no_assert_statements():
+    """The checks in the package raise AssertionError themselves, so they
+    still run under python -O, which strips assert statements."""
+    asserts = {
+        p.name: [node.lineno for node in ast.walk(ast.parse(p.read_text()))
+                 if isinstance(node, ast.Assert)]
+        for p in PACKAGE
+    }
+    assert {name: lines for name, lines in asserts.items() if lines} == {}

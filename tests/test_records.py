@@ -74,15 +74,15 @@ RECORDS = {
     ),
     "AuditRow": (
         lambda k: AuditRow(
-            sequence=S, n=5, oracle_w=18, derivation_w=18, printed_w=18 + k,
-            delta_w=-k, delta_w_identity_ok=True, oracle_n=16, decomposition_n=16,
+            sequence=S, n=5, oracle_w=18, printed_w=18 + k, delta_w=-k,
+            delta_w_identity_ok=True, oracle_n=16,
             printed_n=Fraction(33, 2), delta_n=Fraction(-1, 2),
             printed_n_truncated=False,
         ),
         "AuditRow(sequence=EccSequence(b1=2, mult=(1, 2, 2)), n=5, oracle_w=18, "
-        "derivation_w=18, printed_w=18, delta_w=0, delta_w_identity_ok=True, "
-        "oracle_n=16, decomposition_n=16, printed_n=Fraction(33, 2), "
-        "delta_n=Fraction(-1, 2), printed_n_truncated=False)",
+        "printed_w=18, delta_w=0, delta_w_identity_ok=True, oracle_n=16, "
+        "printed_n=Fraction(33, 2), delta_n=Fraction(-1, 2), "
+        "printed_n_truncated=False)",
     ),
     "AuditReport": (
         lambda k: ec.AuditReport(max_n=5 + k, rows=()),
