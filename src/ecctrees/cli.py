@@ -28,6 +28,12 @@ from .invariants import count_text, invariant_report
 from .sequence import SequenceError, parse_sequence, validate_tree_sequence
 from .tree import TreeError, parse_tree, tree_to_text
 
+# a type checker reads the deferred module behind these annotations; at run
+# time TYPE_CHECKING is False and nothing more is imported
+TYPE_CHECKING = False
+if TYPE_CHECKING:
+    import argparse
+
 EXIT_OK = 0
 EXIT_USAGE = 1
 EXIT_DOMAIN = 2

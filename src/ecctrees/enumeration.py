@@ -42,6 +42,12 @@ from .tree import (
     tree_to_text,
 )
 
+# a type checker reads the deferred module behind these annotations; at run
+# time TYPE_CHECKING is False and nothing more is imported
+TYPE_CHECKING = False
+if TYPE_CHECKING:
+    from fractions import Fraction
+
 LAMBDA_TOL = 1e-9  # relative tolerance for lambda-Wiener minimiser ties
 DEFAULT_BUDGET = 12
 

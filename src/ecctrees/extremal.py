@@ -14,6 +14,12 @@ from math import comb
 from .sequence import EccSequence, eccentric_sequence, require_valid
 from .tree import Tree, _Record
 
+# a type checker reads the deferred module behind these annotations; at run
+# time TYPE_CHECKING is False and nothing more is imported
+TYPE_CHECKING = False
+if TYPE_CHECKING:
+    from fractions import Fraction
+
 
 class CaterpillarDecomposition(_Record):
     """A caterpillar as the pendant counts c_1..c_q of its backbone positions.
@@ -175,10 +181,10 @@ def max_subtrees_printed_detail(s: EccSequence) -> tuple[Fraction, bool]:
     """The maximum-subtrees formula exactly as displayed in the theorem.
 
     Empty sums are 0 and empty products 1; the literal exponent m_1 - 2 can be
-    -1, so everything is exact rational.  Multiplicity indices below 1 can
-    occur in the leading product for large p; those factors are dropped and
-    the truncation is flagged in the second return value.  Not asserted equal
-    to the oracle.
+    -1, so everything is exact rational.  Multiplicity indices below 1 occur
+    in the leading product when p >= l, that is when b_1 >= 3; those factors
+    are dropped and the second return value says so.  Not asserted equal to
+    the oracle.
     """
     from fractions import Fraction
 
@@ -187,28 +193,26 @@ def max_subtrees_printed_detail(s: EccSequence) -> tuple[Fraction, bool]:
     l = s.l
     bl = s.bl
     m = {j: mult[j - 1] for j in range(1, l + 1)}
-
-    def pow2(exp: int) -> Fraction:
-        return Fraction(2) ** exp
+    # the formula's factors, once per sequence: f[k] = 2^(m_k - 2) - 1
+    f = {k: Fraction(2) ** (m[k] - 2) - 1 for k in range(1, l + 1)}
+    lead = Fraction(2) ** m[l] - 1
 
     total = Fraction(comb(bl, 2) - 2 * (l - 2) + sum(m[j] for j in range(2, l + 1)))
     truncated = False
     for p in range(0, bl - 1):
-        left = pow2(m[l]) - 1
+        left = lead
         for i in range(1, p + 1):
             if l - i < 1:
                 truncated = True
                 continue
-            left *= pow2(m[l - i] - 2) - 1
+            left *= f[l - i]
         total += left
         upper = l - 3 + m[1] - p
-        if upper < 2:
-            truncated = True
         for j in range(2, upper + 1):
             prod = Fraction(1)
             for i in range(0, p + 1):
                 # l + 1 - i - j >= l + 1 - p - upper = 4 - m_1 >= 2
-                prod *= pow2(m[l + 1 - i - j] - 2) - 1
+                prod *= f[l + 1 - i - j]
             total += prod
     return total, truncated
 

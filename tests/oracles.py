@@ -15,7 +15,8 @@ that path.
 
 The caterpillars of a sequence come from filtering every composition of the
 pendants over the backbone, and the two caterpillar closed forms from their
-double loops over backbone intervals and over layer pairs.
+double loops over backbone intervals and over layer pairs.  The printed
+subtree formula is evaluated with each factor rebuilt where it is used.
 
 Two helpers only the tests use live here too: relabel, and decomposition_of,
 which reads a caterpillar's pendant counts off the production backbone.
@@ -268,6 +269,35 @@ def min_wiener_derivation_double_loop(s: EccSequence) -> int:
             total += (big_m[i] - 2) * (big_m[j] - 2) * (2 + (j + 1) - (i + 1))
     for j in range(1, r + 1):
         total += ((q + 2) + comb(j + 1, 2) + comb(q + 2 - j, 2)) * (big_m[j - 1] - 2)
+    return total
+
+
+def max_subtrees_printed_pow2(s: EccSequence) -> Fraction:
+    """The printed maximum-subtrees formula with every factor rebuilt by a
+    power of Fraction(2) at each use, and the leading product's factors
+    below index 1 dropped."""
+    mult = s.mult
+    l = s.l
+    bl = s.bl
+    m = {j: mult[j - 1] for j in range(1, l + 1)}
+
+    def pow2(exp: int) -> Fraction:
+        return Fraction(2) ** exp
+
+    total = Fraction(comb(bl, 2) - 2 * (l - 2) + sum(m[j] for j in range(2, l + 1)))
+    for p in range(0, bl - 1):
+        left = pow2(m[l]) - 1
+        for i in range(1, p + 1):
+            if l - i < 1:
+                continue
+            left *= pow2(m[l - i] - 2) - 1
+        total += left
+        upper = l - 3 + m[1] - p
+        for j in range(2, upper + 1):
+            prod = Fraction(1)
+            for i in range(0, p + 1):
+                prod *= pow2(m[l + 1 - i - j] - 2) - 1
+            total += prod
     return total
 
 

@@ -10,6 +10,7 @@ from ecctrees.extremal import (
     extremal_decomposition,
     extremal_tree,
     max_subtrees_printed,
+    max_subtrees_printed_detail,
     max_subtrees_value,
     min_wiener_derivation,
     min_wiener_order_diameter,
@@ -27,6 +28,7 @@ from ecctrees.tree import canonical_code, eccentricities, is_caterpillar
 
 from .oracles import (
     decomposition_of,
+    max_subtrees_printed_pow2,
     min_wiener_derivation_double_loop,
     subtree_closed_form_double_loop,
     subtree_count_bruteforce,
@@ -52,14 +54,15 @@ def random_pendant_vectors(seed, per_q=12, max_q=8):
             yield tuple(c)
 
 
-def random_valid_sequences(seed, count=40):
-    """Seeded valid sequences with up to 60 distinct values."""
+def random_valid_sequences(seed, count=40, max_l=60, max_m=9):
+    """Seeded valid sequences with up to max_l distinct values, each past
+    the centre with multiplicity 2..max_m."""
     rng = random.Random(seed)
     for _ in range(count):
         m1 = rng.choice((1, 2))
-        l = rng.randint(2, 60)
+        l = rng.randint(2, max_l)
         b1 = l - 1 if m1 == 1 else l
-        yield EccSequence(b1, [m1] + [rng.randint(2, 9) for _ in range(l - 1)])
+        yield EccSequence(b1, [m1] + [rng.randint(2, max_m) for _ in range(l - 1)])
 
 
 class TestBuildCaterpillar:
@@ -232,6 +235,24 @@ class TestSubtreeFormulas:
     )
     def test_printed_examples(self, text, value):
         assert max_subtrees_printed(seq(text)) == value
+
+    def test_printed_matches_pow2_reference(self):
+        sequences = list(valid_sequences(16))
+        sequences += random_valid_sequences(seed=28, count=200, max_l=30, max_m=12)
+        non_integer = 0
+        for s in sequences:
+            value = max_subtrees_printed(s)
+            assert value == max_subtrees_printed_pow2(s), s.compact_str()
+            non_integer += value.denominator != 1
+        # m_1 = 1 gives the factor 2^(-1) - 1, and a non-integer value
+        assert non_integer > 100
+
+    def test_printed_truncated_exactly_when_b1_at_least_3(self):
+        # p runs to bl - 2 = b_1 + l - 3, so the leading product's last
+        # index l - p falls below 1 exactly when b_1 >= 3
+        flags = {s: max_subtrees_printed_detail(s)[1] for s in valid_sequences(16)}
+        assert {s: flag for s, flag in flags.items() if flag != (s.b1 >= 3)} == {}
+        assert any(flags.values()) and not all(flags.values())
 
     def test_value_matches_dp_up_to_14(self):
         for s in valid_sequences(14):
