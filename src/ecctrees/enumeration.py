@@ -24,8 +24,6 @@ from .invariants import (
     _wiener_lambda,
     _wiener_rooted,
     count_text,
-    subtree_count,
-    wiener,
 )
 from .sequence import (
     EccSequence,
@@ -394,17 +392,18 @@ class AuditReport(_Record):
 def _checked_construction(s: EccSequence) -> tuple[Tree, int, int]:
     """The extremal tree of a valid s with its W and N from the closed forms
     (the derivation and the subtree decomposition), each checked against
-    the oracle on the tree: wiener (edge contributions, independent of the
-    derivation's layer sums) and subtree_count.  A mismatch raises
-    AssertionError naming s."""
+    the oracle kernel on the tree, rooted once: _wiener_rooted (edge
+    contributions, independent of the derivation's layer sums) and
+    _subtrees_rooted.  A mismatch raises AssertionError naming s."""
     t = extremal_tree(s)
+    order, parent = _bfs_order(t, 0)
     w = min_wiener_derivation(s)
-    if w != wiener(t):
+    if w != _wiener_rooted(order, parent):
         raise AssertionError(
             f"derivation Wiener formula disagrees with oracle on {s.compact_str()}"
         )
     nsub = max_subtrees_value(s)
-    if nsub != subtree_count(t):
+    if nsub != _subtrees_rooted(order, parent):
         raise AssertionError(
             f"subtree decomposition disagrees with oracle on {s.compact_str()}"
         )

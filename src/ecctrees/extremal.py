@@ -101,6 +101,18 @@ def extremal_tree(s: EccSequence) -> Tree:
     return tree
 
 
+def _layer_pair_sum(a: list[int]) -> int:
+    """sum_{i<j} a_i a_j (2 + j - i), in one pass over the running sums of
+    a_i and of i a_i.  It depends only on the gaps j - i, so neither the
+    first index nor reversing a changes it."""
+    total = below = weighted = 0
+    for j, aj in enumerate(a):
+        total += aj * ((2 + j) * below - weighted)
+        below += aj
+        weighted += j * aj
+    return total
+
+
 def min_wiener_derivation(s: EccSequence) -> int:
     """Minimum Wiener index over trees with sequence s, via the proof
     decomposition (path term + within-layer + cross-layer + layer-to-path).
@@ -109,17 +121,12 @@ def min_wiener_derivation(s: EccSequence) -> int:
     """
     require_valid(s)
     q = s.bl - 1
-    total = comb(q + 3, 3)
-    # a_j = M_j - 2 with M_j = m_{l+1-j}; the cross-layer term
-    # sum_{i<j} a_i a_j (2 + j - i) runs on the sums of a_i and of i a_i
-    below = weighted = 0
-    for j, mj in enumerate(reversed(s.mult[1:]), start=1):
-        a = mj - 2
-        total += a * (a - 1)
-        total += a * ((2 + j) * below - weighted)
-        total += ((q + 2) + comb(j + 1, 2) + comb(q + 2 - j, 2)) * a
-        below += a
-        weighted += j * a
+    # a_j = M_j - 2 with M_j = m_{l+1-j}
+    a = [mj - 2 for mj in reversed(s.mult[1:])]
+    total = comb(q + 3, 3) + _layer_pair_sum(a)
+    for j, aj in enumerate(a, start=1):
+        total += aj * (aj - 1)
+        total += ((q + 2) + comb(j + 1, 2) + comb(q + 2 - j, 2)) * aj
     return total
 
 
@@ -133,9 +140,8 @@ def min_wiener_printed(s: EccSequence) -> int:
     m = {j: mult[j - 1] for j in range(1, l + 1)}
     total = comb(bl + 2, 3)
     total += sum((m[j] - 2) * (m[j] - 3) for j in range(2, l + 1))
-    for i in range(2, l + 1):
-        for j in range(i + 1, l + 1):
-            total += (m[i] - 2) * (m[j] - 2) * (2 + j - i)
+    # sum_{2<=i<j<=l} (m_i - 2)(m_j - 2)(2 + j - i)
+    total += _layer_pair_sum([m[j] - 2 for j in range(2, l + 1)])
     for j in range(1, l):
         total += (comb(j, 2) + comb(bl + 1 - j, 2)) * (m[l + 1 - j] - 2)
     total += (bl + 1) * (2 - 2 * l + sum(m[j] for j in range(2, l + 1)))
@@ -193,27 +199,30 @@ def max_subtrees_printed_detail(s: EccSequence) -> tuple[Fraction, bool]:
     l = s.l
     bl = s.bl
     m = {j: mult[j - 1] for j in range(1, l + 1)}
-    # the formula's factors, once per sequence: f[k] = 2^(m_k - 2) - 1
-    f = {k: Fraction(2) ** (m[k] - 2) - 1 for k in range(1, l + 1)}
-    lead = Fraction(2) ** m[l] - 1
+    # the formula's factors f[k] = 2^(m_k - 2) - 1; m_k >= 2 for k >= 2, so
+    # only f[1] can be a fraction (-1/2 when m_1 = 1)
+    f = {k: (1 << (m[k] - 2)) - 1 for k in range(2, l + 1)}
+    f[1] = Fraction(2) ** (m[1] - 2) - 1
 
     total = Fraction(comb(bl, 2) - 2 * (l - 2) + sum(m[j] for j in range(2, l + 1)))
     truncated = False
+    # after step p, left = (2^(m_l) - 1) * prod_{i=1..p} f[l - i] and, for
+    # j = 2..upper, window[j] = prod_{i=0..p} f[l + 1 - i - j]: each gains
+    # one factor per step.  upper falls as p grows from l - 3 + m_1 at p = 0,
+    # so a window still in use holds every factor of the earlier steps
+    left = Fraction((1 << m[l]) - 1)
+    window = [1] * (l - 2 + m[1])
     for p in range(0, bl - 1):
-        left = lead
-        for i in range(1, p + 1):
-            if l - i < 1:
-                truncated = True
-                continue
-            left *= f[l - i]
+        if p >= l:
+            truncated = True
+        elif p >= 1:
+            left *= f[l - p]
         total += left
         upper = l - 3 + m[1] - p
         for j in range(2, upper + 1):
-            prod = Fraction(1)
-            for i in range(0, p + 1):
-                # l + 1 - i - j >= l + 1 - p - upper = 4 - m_1 >= 2
-                prod *= f[l + 1 - i - j]
-            total += prod
+            # l + 1 - p - j >= l + 1 - p - upper = 4 - m_1 >= 2: an int factor
+            window[j] *= f[l + 1 - p - j]
+            total += window[j]
     return total, truncated
 
 

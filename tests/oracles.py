@@ -16,7 +16,8 @@ that path.
 The caterpillars of a sequence come from filtering every composition of the
 pendants over the backbone, and the two caterpillar closed forms from their
 double loops over backbone intervals and over layer pairs.  The printed
-subtree formula is evaluated with each factor rebuilt where it is used.
+subtree formula is evaluated with each factor rebuilt where it is used, and
+the printed Wiener formula with its cross term summed over every pair.
 
 Two helpers only the tests use live here too: relabel, and decomposition_of,
 which reads a caterpillar's pendant counts off the production backbone.
@@ -269,6 +270,24 @@ def min_wiener_derivation_double_loop(s: EccSequence) -> int:
             total += (big_m[i] - 2) * (big_m[j] - 2) * (2 + (j + 1) - (i + 1))
     for j in range(1, r + 1):
         total += ((q + 2) + comb(j + 1, 2) + comb(q + 2 - j, 2)) * (big_m[j - 1] - 2)
+    return total
+
+
+def min_wiener_printed_double_loop(s: EccSequence) -> int:
+    """The printed minimum-Wiener formula with its cross term summed over
+    every pair 2 <= i < j <= l."""
+    mult = s.mult
+    l = s.l
+    bl = s.bl
+    m = {j: mult[j - 1] for j in range(1, l + 1)}
+    total = comb(bl + 2, 3)
+    total += sum((m[j] - 2) * (m[j] - 3) for j in range(2, l + 1))
+    for i in range(2, l + 1):
+        for j in range(i + 1, l + 1):
+            total += (m[i] - 2) * (m[j] - 2) * (2 + j - i)
+    for j in range(1, l):
+        total += (comb(j, 2) + comb(bl + 1 - j, 2)) * (m[l + 1 - j] - 2)
+    total += (bl + 1) * (2 - 2 * l + sum(m[j] for j in range(2, l + 1)))
     return total
 
 

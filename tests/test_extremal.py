@@ -30,6 +30,7 @@ from .oracles import (
     decomposition_of,
     max_subtrees_printed_pow2,
     min_wiener_derivation_double_loop,
+    min_wiener_printed_double_loop,
     subtree_closed_form_double_loop,
     subtree_count_bruteforce,
     wiener_bruteforce,
@@ -207,6 +208,14 @@ class TestWienerFormulas:
         for s in random_valid_sequences(seed=7):
             assert min_wiener_derivation(s) == min_wiener_derivation_double_loop(s)
 
+    def test_printed_matches_double_loop(self):
+        sequences = list(valid_sequences(16))
+        sequences += random_valid_sequences(seed=29, count=200, max_l=30, max_m=12)
+        for s in sequences:
+            assert min_wiener_printed(s) == min_wiener_printed_double_loop(s), (
+                s.compact_str()
+            )
+
     def test_printed_delta_identity(self):
         for s in valid_sequences(12):
             assert (
@@ -246,6 +255,18 @@ class TestSubtreeFormulas:
             non_integer += value.denominator != 1
         # m_1 = 1 gives the factor 2^(-1) - 1, and a non-integer value
         assert non_integer > 100
+
+    def test_printed_matches_pow2_reference_for_long_sequences(self):
+        # windows of up to l - 1 factors, and with b_1 = l - 1 or l the steps
+        # run about l past the leading product's last factor; m_k >= 3 for
+        # k >= 2 keeps every factor but f_1 nonzero, so no product vanishes
+        rng = random.Random(29)
+        for m1, l in ((1, 40), (2, 40), (1, 51), (2, 55), (1, 60), (2, 60)):
+            b1 = l - 1 if m1 == 1 else l
+            s = EccSequence(b1, [m1] + [rng.randint(3, 9) for _ in range(l - 1)])
+            value, truncated = max_subtrees_printed_detail(s)
+            assert truncated, s.compact_str()
+            assert value == max_subtrees_printed_pow2(s), s.compact_str()
 
     def test_printed_truncated_exactly_when_b1_at_least_3(self):
         # p runs to bl - 2 = b_1 + l - 3, so the leading product's last

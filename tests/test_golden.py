@@ -51,6 +51,7 @@ def _invariants(capsys, tmp_path):
 
 OUTPUTS = {
     "audit --max-n 16": _cli("audit", "--max-n", "16", "--format", "json"),
+    "audit --max-n 18": _cli("audit", "--max-n", "18", "--format", "json"),
     "verify --max-n 14": _cli("verify", "--max-n", "14", "--format", "json"),
     "explore --max-n 12 --lambda 1,2,3": _cli(
         "explore", "--max-n", "12", "--lambda", "1,2,3", "--format", "json"
